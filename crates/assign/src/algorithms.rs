@@ -3,7 +3,7 @@
 use crate::eligibility::EligibilityMatrix;
 use crate::graph::AssignmentGraph;
 use crate::oracle::InfluenceOracle;
-use sc_graph::{Dinic, ShortestPathEngine};
+use sc_graph::Dinic;
 use sc_types::{Assignment, AssignmentPair, Instance};
 use std::fmt;
 
@@ -67,17 +67,10 @@ pub struct AssignInput<'a> {
     /// when absent.
     pub task_entropy: Option<&'a [f64]>,
     /// Thread budget for the scoring passes (eligibility construction
-    /// in [`run`] and the per-pair influence scan) and for the MCMF
-    /// engine's batched candidate searches. Results are bit-identical
-    /// at any value — shards are contiguous index ranges merged in
-    /// order — so this trades wall time only. Defaults to 1.
+    /// in [`run`] and the per-pair influence scan). Results are
+    /// bit-identical at any value — shards are contiguous index ranges
+    /// merged in order — so this trades wall time only. Defaults to 1.
     pub threads: usize,
-    /// The shortest-path engine the MCMF-backed algorithms (IA / EIA /
-    /// DIA) solve with. Every engine returns the same assignment (the
-    /// tie-break jitter makes the optimum unique); the ablation
-    /// references only change wall time. Defaults to
-    /// [`ShortestPathEngine::Dijkstra`].
-    pub solver: ShortestPathEngine,
 }
 
 impl<'a> AssignInput<'a> {
@@ -88,7 +81,6 @@ impl<'a> AssignInput<'a> {
             influence,
             task_entropy: None,
             threads: 1,
-            solver: ShortestPathEngine::default(),
         }
     }
 
@@ -109,14 +101,6 @@ impl<'a> AssignInput<'a> {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Selects the MCMF shortest-path engine (assignments are identical
-    /// under every engine; see [`AssignInput::solver`]).
-    #[must_use]
-    pub fn with_solver(mut self, solver: ShortestPathEngine) -> Self {
-        self.solver = solver;
         self
     }
 }
@@ -155,9 +139,9 @@ pub fn run_scored(
 
 /// Solver-phase telemetry from one [`run_scored_with_stats`] call.
 /// Zero for the non-flow algorithms (MI, greedy) and for MTA (Dinic
-/// does not count augmentations). Deterministic facts of the instance
-/// and the chosen engine — but *engine-dependent* (batching collapses
-/// passes), so round-report equality must never compare them.
+/// does not count augmentations). Deterministic facts of the instance,
+/// but telemetry all the same: round-report equality never compares
+/// them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Shortest-path search passes the MCMF solve ran.
@@ -251,8 +235,8 @@ fn to_assignment(
 /// Lattice quantum of the tie-break jitter: `2⁻³⁷ ≈ 7.3e-12`. Every
 /// jitter is an integer multiple of this, so any two *distinct* path
 /// or matching costs built from plateau edges differ by at least one
-/// quantum — two orders of magnitude above the solver tolerances
-/// (`1e-13`) and four above accumulated `f64` path-sum rounding.
+/// quantum — four orders of magnitude above accumulated `f64` path-sum
+/// rounding.
 const JITTER_QUANTUM: f64 = 1.0 / (1u64 << 37) as f64;
 
 /// Deterministic per-pair tie-break jitter: a bijective 18-bit scramble
@@ -260,22 +244,19 @@ const JITTER_QUANTUM: f64 = 1.0 / (1u64 << 37) as f64;
 /// (≈ `1.9e-6 ..= 3.8e-6`).
 ///
 /// The influence cost models produce *exact* ties (every zero-influence
-/// pair costs exactly `1.0`), and on a tied plateau different exact
-/// engines may legitimately pick different optimal assignments. Adding
-/// a unique sub-`1e-5` perturbation per pair makes the min-cost optimum
-/// unique, so every exact engine — and every thread budget — returns
-/// the same assignment byte for byte (the cross-engine determinism
-/// suite pins this). Three properties make the separation real rather
-/// than wishful:
+/// pair costs exactly `1.0`), and on a tied plateau many assignments
+/// are optimal, so which one the solver returns would hang on its path
+/// order. Adding a unique sub-`1e-5` perturbation per pair makes the
+/// min-cost optimum unique (the `tie_jitter_makes_the_plateau_optimum_unique`
+/// test enumerates small plateaus to pin this). Three properties make
+/// the separation real rather than wishful:
 ///
 /// * **Lattice-quantized.** Jitters are exact dyadic multiples of
 ///   [`JITTER_QUANTUM`], so on a plateau (equal bases, which are the
 ///   only pairs the jitter must separate) distinct path costs differ
-///   by ≥ one quantum — far above the engines' `1e-13` comparison
-///   tolerances. A full-granularity random jitter fails here: two
-///   near-optimal matchings can land within the solver tolerance of
-///   each other, and the batched Dijkstra engine will then commit a
-///   "tight" path that SPFA's exact relaxation rejects.
+///   by ≥ one quantum, and short plateau sums are exact in `f64`. A
+///   full-granularity random jitter could put two near-optimal
+///   matchings within rounding of each other.
 /// * **Bijective.** The scramble is a 4-round Feistel permutation of
 ///   the low 18 bits of the pair index, so any two pairs (below `2¹⁸`)
 ///   get *provably distinct* offsets — no birthday collisions.
@@ -320,25 +301,20 @@ fn mcmf_assign(
         _ => &[],
     };
 
-    let mut graph = AssignmentGraph::build_with(
-        matrix,
-        |pi| {
-            let p = &matrix.pairs()[pi];
-            let inf = influences[pi];
-            let base = match model {
-                CostModel::Influence => 1.0 / (inf + 1.0),
-                CostModel::EntropyInfluence => (entropy[p.task_idx as usize] + 1.0) / (inf + 1.0),
-                CostModel::DistanceInfluence => {
-                    let worker = &input.instance.workers[p.worker_idx as usize];
-                    let f = 1.0 - (p.distance_km / worker.radius_km).min(1.0);
-                    1.0 / (f * inf + 1.0)
-                }
-            };
-            base + tie_jitter(pi)
-        },
-        input.solver,
-        input.threads,
-    );
+    let mut graph = AssignmentGraph::build(matrix, |pi| {
+        let p = &matrix.pairs()[pi];
+        let inf = influences[pi];
+        let base = match model {
+            CostModel::Influence => 1.0 / (inf + 1.0),
+            CostModel::EntropyInfluence => (entropy[p.task_idx as usize] + 1.0) / (inf + 1.0),
+            CostModel::DistanceInfluence => {
+                let worker = &input.instance.workers[p.worker_idx as usize];
+                let f = 1.0 - (p.distance_km / worker.radius_km).min(1.0);
+                1.0 / (f * inf + 1.0)
+            }
+        };
+        base + tie_jitter(pi)
+    });
     let (result, chosen) = graph.solve();
     let stats = SolveStats {
         passes: result.passes,
@@ -533,7 +509,7 @@ mod tests {
         // Pins the Dinic augmenting order documented above: with both
         // workers eligible for the one task, MTA deterministically
         // assigns w0 (the first augmenting path in pair order). The
-        // MCMF engine rewrite must not disturb the max-flow baseline's
+        // MCMF solver changes must not disturb the max-flow baseline's
         // output — replay traces and figure sweeps depend on it.
         let inst = Instance::new(
             TimeInstant::at(0, 0),
@@ -716,6 +692,105 @@ mod tests {
         for kind in AlgorithmKind::COMPARISON {
             let a = run(kind, &AssignInput::new(&inst, &ZeroInfluence));
             assert!(a.is_empty(), "{kind}");
+        }
+    }
+
+    /// Every max-cardinality matching of `matrix` on the zero-influence
+    /// plateau, with its exact cost `Σ (1 + tie_jitter(pi))` — what
+    /// [`mcmf_assign`] gives each pair under [`CostModel::Influence`].
+    /// Matchings are sorted `(worker_idx, task_idx)` lists.
+    fn plateau_max_matchings(matrix: &EligibilityMatrix) -> Vec<(f64, Vec<(u32, u32)>)> {
+        fn extend(
+            matrix: &EligibilityMatrix,
+            rows: &[Vec<usize>],
+            w: usize,
+            task_used: &mut [bool],
+            picked: &mut Vec<usize>,
+            out: &mut Vec<(f64, Vec<(u32, u32)>)>,
+        ) {
+            if w == rows.len() {
+                let cost = picked.iter().map(|&pi| 1.0 + tie_jitter(pi)).sum();
+                let mut pairs: Vec<(u32, u32)> = picked
+                    .iter()
+                    .map(|&pi| (matrix.pairs()[pi].worker_idx, matrix.pairs()[pi].task_idx))
+                    .collect();
+                pairs.sort_unstable();
+                out.push((cost, pairs));
+                return;
+            }
+            extend(matrix, rows, w + 1, task_used, picked, out);
+            for &pi in &rows[w] {
+                let t = matrix.pairs()[pi].task_idx as usize;
+                if !task_used[t] {
+                    task_used[t] = true;
+                    picked.push(pi);
+                    extend(matrix, rows, w + 1, task_used, picked, out);
+                    picked.pop();
+                    task_used[t] = false;
+                }
+            }
+        }
+        let mut rows = vec![Vec::new(); matrix.n_workers()];
+        for (pi, p) in matrix.pairs().iter().enumerate() {
+            rows[p.worker_idx as usize].push(pi);
+        }
+        let mut all = Vec::new();
+        let mut task_used = vec![false; matrix.n_tasks()];
+        extend(matrix, &rows, 0, &mut task_used, &mut Vec::new(), &mut all);
+        let max = all.iter().map(|(_, m)| m.len()).max().unwrap_or(0);
+        all.retain(|(_, m)| m.len() == max);
+        all
+    }
+
+    #[test]
+    fn tie_jitter_makes_the_plateau_optimum_unique() {
+        // Plateau sums are dyadic (`1 + k·2⁻³⁷`, `k < 2¹⁹`, at most six
+        // terms), so they are exact in `f64` and `==` is the right test.
+        use rand::rngs::SmallRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(12);
+        let mut instances = vec![Instance::new(
+            TimeInstant::at(0, 0),
+            (0..6).map(|w| worker(w, w as f64, 100.0)).collect(),
+            (0..6).map(|t| task(t, t as f64 + 0.5)).collect(),
+        )];
+        for _ in 0..40 {
+            let n_workers = rng.random_range(1..=6u32);
+            let n_tasks = rng.random_range(1..=6u32);
+            instances.push(Instance::new(
+                TimeInstant::at(0, 0),
+                (0..n_workers)
+                    .map(|w| worker(w, rng.random_range(0.0..10.0), rng.random_range(1.0..6.0)))
+                    .collect(),
+                (0..n_tasks)
+                    .map(|t| task(t, rng.random_range(0.0..10.0)))
+                    .collect(),
+            ));
+        }
+        for (case, inst) in instances.iter().enumerate() {
+            let matrix = EligibilityMatrix::build(inst);
+            let matchings = plateau_max_matchings(&matrix);
+            let min = matchings
+                .iter()
+                .map(|&(c, _)| c)
+                .fold(f64::INFINITY, f64::min);
+            let optimal: Vec<&Vec<(u32, u32)>> = matchings
+                .iter()
+                .filter(|&&(c, _)| c == min)
+                .map(|(_, m)| m)
+                .collect();
+            assert_eq!(optimal.len(), 1, "case {case}: {} optima", optimal.len());
+
+            let input = AssignInput::new(inst, &ZeroInfluence);
+            let influences = vec![0.0; matrix.n_pairs()];
+            let a = run_scored(AlgorithmKind::Ia, &input, &matrix, &influences);
+            let mut got: Vec<(u32, u32)> = a
+                .pairs()
+                .iter()
+                .map(|p| (p.worker.raw(), p.task.raw()))
+                .collect();
+            got.sort_unstable();
+            assert_eq!(&got, optimal[0], "case {case}");
         }
     }
 

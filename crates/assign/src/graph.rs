@@ -7,7 +7,7 @@
 //! maximum flows encodes the influence objective.
 
 use crate::eligibility::EligibilityMatrix;
-use sc_graph::{CertificateError, FlowResult, MinCostMaxFlow, ShortestPathEngine};
+use sc_graph::{CertificateError, FlowResult, MinCostMaxFlow};
 
 /// A solved or unsolved assignment graph.
 #[derive(Debug)]
@@ -22,31 +22,14 @@ pub struct AssignmentGraph {
 impl AssignmentGraph {
     /// Builds the graph from an eligibility matrix; `pair_cost` supplies
     /// the cost of each worker→task edge (indexed as in
-    /// [`EligibilityMatrix::pairs`]). Solves with the default engine on
-    /// one thread; see [`AssignmentGraph::build_with`].
-    pub fn build(matrix: &EligibilityMatrix, pair_cost: impl FnMut(usize) -> f64) -> Self {
-        Self::build_with(matrix, pair_cost, ShortestPathEngine::default(), 1)
-    }
-
-    /// [`AssignmentGraph::build`] with an explicit shortest-path engine
-    /// and a thread budget for the Dijkstra engine's batched candidate
-    /// searches. The solved assignment is identical for every engine
-    /// and budget (the solvers are exact and the cost jitter upstream
-    /// makes the optimum unique); the knobs trade wall time only.
-    pub fn build_with(
-        matrix: &EligibilityMatrix,
-        mut pair_cost: impl FnMut(usize) -> f64,
-        engine: ShortestPathEngine,
-        threads: usize,
-    ) -> Self {
+    /// [`EligibilityMatrix::pairs`]).
+    pub fn build(matrix: &EligibilityMatrix, mut pair_cost: impl FnMut(usize) -> f64) -> Self {
         let n_workers = matrix.n_workers();
         let n_tasks = matrix.n_tasks();
         // Layout: 0 = source, 1..=W workers, W+1..=W+S tasks, last = sink.
         let source = 0usize;
         let sink = n_workers + n_tasks + 1;
-        let mut flow = MinCostMaxFlow::new(sink + 1)
-            .with_engine(engine)
-            .with_threads(threads);
+        let mut flow = MinCostMaxFlow::new(sink + 1);
 
         for wi in 0..n_workers {
             flow.add_edge(source, 1 + wi, 1, 0.0);
@@ -223,32 +206,5 @@ mod tests {
         assert_eq!(result.flow, 0);
         assert!(chosen.is_empty());
         assert_eq!(g.n_pair_edges(), 0);
-    }
-
-    #[test]
-    fn every_engine_solves_identically() {
-        let inst = instance();
-        let matrix = EligibilityMatrix::build(&inst);
-        // All pairs tied at cost 1.0 plus a deterministic jitter-like
-        // offset: every exact engine must return the same matching.
-        let costs = [1.0 + 3e-7, 1.0 + 1e-7, 1.0 + 4e-7, 1.0 + 2e-7];
-        let reference: Option<(FlowResult, Vec<(u32, u32)>)> = None;
-        let mut reference = reference;
-        for engine in ShortestPathEngine::ALL {
-            for threads in [1usize, 4] {
-                let mut g = AssignmentGraph::build_with(&matrix, |pi| costs[pi], engine, threads);
-                let (result, mut chosen) = g.solve();
-                g.verify(&result).expect("flow certificate");
-                chosen.sort_unstable();
-                match &reference {
-                    Some((r0, c0)) => {
-                        assert_eq!(result.flow, r0.flow, "{}", engine.label());
-                        assert!((result.cost - r0.cost).abs() < 1e-9, "{}", engine.label());
-                        assert_eq!(&chosen, c0, "{} at {threads} threads", engine.label());
-                    }
-                    None => reference = Some((result, chosen)),
-                }
-            }
-        }
     }
 }

@@ -2,8 +2,6 @@
 //!
 //! * `rrr_pool_vs_perworker` — one shared RRR pool versus re-running
 //!   Algorithm 1's sampling for every source worker.
-//! * `mcmf_spfa_vs_bf` — SPFA versus textbook Bellman–Ford inside the
-//!   min-cost max-flow solver.
 //! * `mcmf_cost_repr` — raw `f64` costs versus integer-quantized costs
 //!   (quantization changes relaxation patterns and tie behaviour).
 //! * `grid_cell_size` — eligibility query cost versus grid granularity.
@@ -12,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use sc_datagen::{generate_social_edges, DatasetProfile, InstanceOptions, SyntheticDataset};
-use sc_graph::{MinCostMaxFlow, ShortestPathEngine};
+use sc_graph::MinCostMaxFlow;
 use sc_influence::{PropagationModel, RrrPool, SocialNetwork};
 use sc_spatial::GridIndex;
 use sc_types::Location;
@@ -81,14 +79,9 @@ fn assignment_edges(n: usize, degree: usize, seed: u64) -> Vec<(usize, usize, f6
         .collect()
 }
 
-fn solve(
-    engine: ShortestPathEngine,
-    n: usize,
-    edges: &[(usize, usize, f64)],
-    quantize: bool,
-) -> f64 {
+fn solve(n: usize, edges: &[(usize, usize, f64)], quantize: bool) -> f64 {
     let (s, t) = (2 * n, 2 * n + 1);
-    let mut g = MinCostMaxFlow::new(2 * n + 2).with_engine(engine);
+    let mut g = MinCostMaxFlow::new(2 * n + 2);
     for w in 0..n {
         g.add_edge(s, w, 1, 0.0);
     }
@@ -106,30 +99,16 @@ fn solve(
     g.run(s, t).cost
 }
 
-fn bench_mcmf_spfa_vs_bf(c: &mut Criterion) {
-    let n = 150;
-    let edges = assignment_edges(n, 8, 5);
-    let mut group = c.benchmark_group("mcmf_spfa_vs_bf");
-    group.sample_size(10);
-    group.bench_function("spfa", |b| {
-        b.iter(|| black_box(solve(ShortestPathEngine::Spfa, n, &edges, false)));
-    });
-    group.bench_function("bellman_ford", |b| {
-        b.iter(|| black_box(solve(ShortestPathEngine::BellmanFord, n, &edges, false)));
-    });
-    group.finish();
-}
-
 fn bench_mcmf_cost_repr(c: &mut Criterion) {
     let n = 150;
     let edges = assignment_edges(n, 8, 9);
     let mut group = c.benchmark_group("mcmf_cost_repr");
     group.sample_size(10);
     group.bench_function("f64_raw", |b| {
-        b.iter(|| black_box(solve(ShortestPathEngine::Spfa, n, &edges, false)));
+        b.iter(|| black_box(solve(n, &edges, false)));
     });
     group.bench_function("quantized_1e4", |b| {
-        b.iter(|| black_box(solve(ShortestPathEngine::Spfa, n, &edges, true)));
+        b.iter(|| black_box(solve(n, &edges, true)));
     });
     group.finish();
 }
@@ -158,7 +137,6 @@ fn bench_grid_cell_size(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_rrr_pool_vs_perworker,
-    bench_mcmf_spfa_vs_bf,
     bench_mcmf_cost_repr,
     bench_grid_cell_size
 );

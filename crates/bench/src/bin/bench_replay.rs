@@ -77,7 +77,6 @@ fn config(threads: usize) -> DitaConfig {
             target_sets: 0,
             incremental: true,
         },
-        solver: Default::default(),
         seed: 0xD17A_0005,
     }
 }

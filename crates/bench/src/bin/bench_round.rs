@@ -24,17 +24,6 @@
 //! * on a host with ≥ 4 cores, 4 rebuild threads still deliver the
 //!   ≥ 2× intra-round parallel speedup PR 4 established.
 //!
-//! A second grid A/Bs the **flow solver** itself on a contested
-//! workload — cohort barely above the task demand, wide eligibility
-//! radius — where nearly every augmentation reroutes earlier
-//! assignments and the MCMF solve dominates the round. It asserts
-//! byte-identical reports across engines, that the batched engine
-//! never pays more search passes than single-path SSP, and that the
-//! Dijkstra solve phase is ≥ 1.5× faster than SPFA at 1 thread (early
-//! exit at the sink: only the wavefront cheaper than the augmenting
-//! path is settled, while the label-correcting baseline relaxes the
-//! whole graph to quiescence every pass).
-//!
 //! ```text
 //! cargo run --release -p sc-bench --bin bench_round
 //! DITA_BENCH_VENUES=150 DITA_BENCH_TASKS=400 cargo run --release -p sc-bench --bin bench_round
@@ -48,10 +37,7 @@
 
 #![forbid(unsafe_code)]
 
-use sc_core::{
-    AlgorithmKind, DitaBuilder, DitaConfig, DitaPipeline, OnlineConfig, Parallelism,
-    ShortestPathEngine,
-};
+use sc_core::{AlgorithmKind, DitaBuilder, DitaConfig, DitaPipeline, OnlineConfig, Parallelism};
 use sc_datagen::{DatasetProfile, InstanceOptions, SyntheticDataset};
 use sc_influence::RpoParams;
 use sc_sim::{scripted_event, EngineBuilder, EventKind, NetworkMode, PipelineMode, RoundReport};
@@ -73,13 +59,14 @@ struct Script {
     tasks_per_round: usize,
     rounds: usize,
     phi: f64,
-    /// Worker radius: bounds eligible-pair density, i.e. how much of a
-    /// round the MCMF solve is. The reuse grid keeps it small (5 km) to
-    /// isolate the cache/delta phases; the solver A/B widens it so the
-    /// solve phase is worth measuring.
-    radius_km: f64,
     seed: u64,
 }
+
+/// Worker radius. A city-scale 5 km keeps the eligible-pair count (and
+/// with it the *sequential* MCMF solve) small relative to the scoring
+/// passes, so the grid isolates what it is about: what the cache +
+/// delta reuse saves per round.
+const RADIUS_KM: f64 = 5.0;
 
 struct Run {
     mode: &'static str,
@@ -102,7 +89,6 @@ fn drive(
     data: &SyntheticDataset,
     threads: usize,
     incremental: bool,
-    solver: ShortestPathEngine,
     script: Script,
 ) -> (Vec<f64>, Vec<RoundReport>) {
     let Script {
@@ -110,12 +96,10 @@ fn drive(
         tasks_per_round,
         rounds,
         phi,
-        radius_km,
         seed,
     } = script;
     let mut pipeline = base.clone();
     pipeline.set_threads(Parallelism::Fixed(threads));
-    pipeline.set_solver(solver);
     let config = OnlineConfig {
         incremental,
         ..OnlineConfig::default()
@@ -127,7 +111,7 @@ fn drive(
         .build();
     let opts = InstanceOptions {
         valid_hours: phi,
-        radius_km,
+        radius_km: RADIUS_KM,
         ..Default::default()
     };
     let cohort_workers = data.instance_for_day(0, 0, cohort, opts).instance.workers;
@@ -199,16 +183,11 @@ fn main() {
         base.model().pool().n_sets()
     );
 
-    // A city-scale 5 km radius keeps the eligible-pair count (and with
-    // it the *sequential* MCMF solve) small relative to the scoring
-    // passes, so the reuse grid isolates what it is about: what the
-    // cache + delta reuse saves per round.
     let script = Script {
         cohort,
         tasks_per_round,
         rounds,
         phi,
-        radius_km: 5.0,
         seed,
     };
     // Warm pass outside the timed region (allocator, page cache).
@@ -217,7 +196,6 @@ fn main() {
         &data,
         1,
         true,
-        ShortestPathEngine::default(),
         Script {
             rounds: 2,
             ..script
@@ -230,14 +208,7 @@ fn main() {
             let mut best_total = f64::INFINITY;
             let mut best = (Vec::new(), Vec::new());
             for _ in 0..reps.max(1) {
-                let (walls, reports) = drive(
-                    &base,
-                    &data,
-                    threads,
-                    incremental,
-                    ShortestPathEngine::default(),
-                    script,
-                );
+                let (walls, reports) = drive(&base, &data, threads, incremental, script);
                 let total: f64 = walls.iter().sum();
                 if total < best_total {
                     best_total = total;
@@ -316,115 +287,6 @@ fn main() {
         );
     }
 
-    // --- Solver A/B: the MCMF engine itself. ---------------------------
-    // A contested workload: the cohort barely exceeds the tasks per
-    // round and a wide radius makes most pairs eligible, so nearly
-    // every augmentation reroutes earlier assignments through long
-    // residual chains — the regime where the solve phase dominates a
-    // round and the engine choice matters. (The reuse grid above is the
-    // opposite: an abundant cohort and a tight radius keep the solve
-    // small to isolate the cache/delta phases.) The same stream is
-    // replayed per engine. Bellman–Ford is excluded: it is the
-    // O(V·E)-per-pass ablation reference (benches/ablations.rs covers
-    // it at toy sizes) and would dominate the bench wall clock without
-    // informing the production choice. Reports must agree
-    // engine-for-engine — the solver may only change wall time and
-    // pass counts, never an assignment.
-    let solver_script = Script {
-        cohort: 900,
-        tasks_per_round: 800,
-        rounds: 5,
-        radius_km: 30.0,
-        ..script
-    };
-    struct SolverRun {
-        solver: ShortestPathEngine,
-        threads: usize,
-        round_ms: f64,
-        solve_ms: f64,
-        passes: f64,
-        augmentations: f64,
-        reports: Vec<RoundReport>,
-    }
-    let mut solver_runs: Vec<SolverRun> = Vec::new();
-    for &(solver, threads) in &[
-        (ShortestPathEngine::Dijkstra, 1usize),
-        (ShortestPathEngine::Dijkstra, 4),
-        (ShortestPathEngine::Spfa, 1),
-    ] {
-        let mut best_total = f64::INFINITY;
-        let mut best = (Vec::new(), Vec::new());
-        for _ in 0..reps.max(1) {
-            let (walls, reports) = drive(&base, &data, threads, true, solver, solver_script);
-            let total: f64 = walls.iter().sum();
-            if total < best_total {
-                best_total = total;
-                best = (walls, reports);
-            }
-        }
-        let (_, reports) = best;
-        let solve_ms = steady_mean(&reports, |x| x.solve_ms);
-        eprintln!(
-            "[bench_round] solver {:>8} × {threads} thread(s): \
-             {:.2} ms/round, {solve_ms:.2} ms solve",
-            solver.label(),
-            best_total / solver_script.rounds as f64
-        );
-        solver_runs.push(SolverRun {
-            solver,
-            threads,
-            round_ms: best_total / solver_script.rounds as f64,
-            solve_ms,
-            passes: steady_mean(&reports, |x| x.solve_passes as f64),
-            augmentations: steady_mean(&reports, |x| x.solve_augmentations as f64),
-            reports,
-        });
-    }
-    let solver_assigned: usize = solver_runs[0].reports.iter().map(|r| r.assigned).sum();
-    assert!(
-        solver_assigned > 0,
-        "degenerate solver workload: nothing was assigned"
-    );
-    for run in &solver_runs[1..] {
-        assert_eq!(
-            run.reports,
-            solver_runs[0].reports,
-            "round reports diverged at solver={} threads={} — the engine \
-             leaked into results",
-            run.solver.label(),
-            run.threads
-        );
-    }
-    // The batched engine never pays more search passes than single-path
-    // SSP (one per augmentation plus the final no-path pass). On this
-    // workload the tie-break jitter makes every path cost unique, so
-    // exactly one path is tight per pass and the bound is met with
-    // equality — batching only engages on tie plateaus, which the
-    // jitter excludes by design (the mcmf unit suite pins the strict
-    // `passes < augmentations` case on a jitter-free plateau). The
-    // honest win here is the ≥ 1.5× solve-phase floor vs SPFA at
-    // 1 thread, where the gap is purely algorithmic.
-    let dijkstra1 = &solver_runs[0];
-    let spfa1 = solver_runs
-        .iter()
-        .find(|r| r.solver == ShortestPathEngine::Spfa)
-        .unwrap();
-    assert!(
-        dijkstra1.passes <= dijkstra1.augmentations + 1.0,
-        "batched engine paid more passes than single-path SSP: \
-         {:.0} passes for {:.0} augmentations",
-        dijkstra1.passes,
-        dijkstra1.augmentations
-    );
-    let solver_speedup = spfa1.solve_ms / dijkstra1.solve_ms;
-    assert!(
-        solver_speedup >= 1.5,
-        "dijkstra solve phase only {solver_speedup:.2}× faster than spfa \
-         at 1 thread ({:.2} ms vs {:.2} ms) — below the 1.5× floor",
-        dijkstra1.solve_ms,
-        spfa1.solve_ms
-    );
-
     let run_rows: Vec<String> = runs
         .iter()
         .map(|r| {
@@ -454,32 +316,11 @@ fn main() {
             )
         })
         .collect();
-    let solver_rows: Vec<String> = solver_runs
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"solver\": \"{}\", \"threads\": {}, \"round_ms\": {:.3}, \
-                 \"solve_ms\": {:.3}, \"passes_per_round\": {:.1}, \
-                 \"augmentations_per_round\": {:.1}}}",
-                r.solver.label(),
-                r.threads,
-                r.round_ms,
-                r.solve_ms,
-                r.passes,
-                r.augmentations,
-            )
-        })
-        .collect();
     let json = format!(
-        "{{\n  \"bench\": \"incremental_round_pipeline\",\n  \"population\": {population},\n  \"worker_cohort\": {cohort},\n  \"tasks_per_round\": {tasks_per_round},\n  \"rounds\": {rounds},\n  \"venues\": {},\n  \"pool_sets\": {},\n  \"reps\": {reps},\n  \"host_threads\": {host_threads},\n  \"assigned_total\": {assigned},\n  \"reports_identical_across_threads\": true,\n  \"reports_identical_across_modes\": true,\n  \"steady_state_incremental_speedup_at_1_thread\": {incremental_speedup:.3},\n  \"incremental_speedup_floor_enforced\": true,\n  \"rebuild_speedup_at_4_threads\": {parallel_speedup:.3},\n  \"parallel_speedup_floor_enforced\": {enforce_parallel_floor},\n  \"runs\": [\n{}\n  ],\n  \"solver_ab\": {{\n  \"worker_cohort\": {},\n  \"tasks_per_round\": {},\n  \"rounds\": {},\n  \"radius_km\": {:.1},\n  \"reports_identical_across_solvers\": true,\n  \"spfa_vs_dijkstra_solve_speedup_at_1_thread\": {solver_speedup:.3},\n  \"solver_speedup_floor_enforced\": true,\n  \"runs\": [\n{}\n  ]\n  }}\n}}\n",
+        "{{\n  \"bench\": \"incremental_round_pipeline\",\n  \"population\": {population},\n  \"worker_cohort\": {cohort},\n  \"tasks_per_round\": {tasks_per_round},\n  \"rounds\": {rounds},\n  \"venues\": {},\n  \"pool_sets\": {},\n  \"reps\": {reps},\n  \"host_threads\": {host_threads},\n  \"assigned_total\": {assigned},\n  \"reports_identical_across_threads\": true,\n  \"reports_identical_across_modes\": true,\n  \"steady_state_incremental_speedup_at_1_thread\": {incremental_speedup:.3},\n  \"incremental_speedup_floor_enforced\": true,\n  \"rebuild_speedup_at_4_threads\": {parallel_speedup:.3},\n  \"parallel_speedup_floor_enforced\": {enforce_parallel_floor},\n  \"runs\": [\n{}\n  ]\n}}\n",
         profile.n_venues,
         base.model().pool().n_sets(),
-        run_rows.join(",\n"),
-        solver_script.cohort,
-        solver_script.tasks_per_round,
-        solver_script.rounds,
-        solver_script.radius_km,
-        solver_rows.join(",\n")
+        run_rows.join(",\n")
     );
 
     let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))

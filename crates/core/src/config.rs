@@ -1,6 +1,5 @@
 //! DITA configuration (paper defaults from Section V-A / Table II).
 
-use sc_assign::ShortestPathEngine;
 use sc_influence::{Parallelism, RpoParams};
 use sc_topics::LdaParams;
 
@@ -86,12 +85,6 @@ pub struct DitaConfig {
     /// Online-mode pool maintenance (frozen by default; ignored by the
     /// batch sweep harness).
     pub online: OnlineConfig,
-    /// The MCMF shortest-path engine the assignment solve runs
-    /// (IA / EIA / DIA). Assignments are bit-identical under every
-    /// engine — the per-pair tie-break jitter makes the optimum unique
-    /// — so the ablation references (`Spfa`, `BellmanFord`) trade wall
-    /// time only.
-    pub solver: ShortestPathEngine,
     /// Master seed; every random phase derives from it.
     pub seed: u64,
 }
@@ -110,7 +103,6 @@ impl Default for DitaConfig {
                 threads: Parallelism::Auto,
             },
             online: OnlineConfig::default(),
-            solver: ShortestPathEngine::default(),
             seed: 0xD17A,
         }
     }

@@ -37,7 +37,7 @@ pub use sc_assign::AlgorithmKind;
 
 // The incremental-eligibility types ride along so round drivers
 // (sim engines, benches) can hold state without importing sc-assign.
-pub use sc_assign::{DeltaStats, EligibilityState, ShortestPathEngine, SolveStats};
+pub use sc_assign::{DeltaStats, EligibilityState, SolveStats};
 
 // The sampling thread budget travels with the config; re-exported so
 // downstream crates (sim harness, CLI) need not depend on sc-influence

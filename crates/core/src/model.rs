@@ -123,15 +123,6 @@ impl InfluenceModel {
         self.config.rpo.threads = threads;
     }
 
-    /// Re-targets the MCMF shortest-path engine without retraining.
-    /// Assignments are bit-identical under every engine (the tie-break
-    /// jitter makes the optimum unique), so this changes only the wall
-    /// time of subsequent solves. The `bench_round` solver A/B uses it
-    /// to compare engines on one trained model.
-    pub fn set_solver(&mut self, solver: sc_assign::ShortestPathEngine) {
-        self.config.solver = solver;
-    }
-
     /// RPO diagnostics (pool size, bounds, rounds).
     #[inline]
     pub fn rpo_stats(&self) -> &RpoStats {

@@ -29,6 +29,4 @@ pub mod traverse;
 pub use csr::{CsrBuilder, CsrGraph};
 pub use matching::HopcroftKarp;
 pub use maxflow::Dinic;
-pub use mcmf::{
-    run_pair, verify, CertificateError, FlowResult, MinCostMaxFlow, ShortestPathEngine,
-};
+pub use mcmf::{verify, CertificateError, FlowResult, MinCostMaxFlow};

@@ -10,116 +10,30 @@
 //! after the final augmentation the flow is maximum and its cost is
 //! minimal among maximum flows.
 //!
-//! Three interchangeable engines find those cheapest paths:
-//!
-//! * [`ShortestPathEngine::Dijkstra`] (default) — Johnson-style
-//!   **potential-based Dijkstra** over reduced costs
-//!   `c_π(u→v) = c(u→v) + π(u) − π(v)`, valid because every entered
-//!   cost is non-negative (the assignment costs `1/(if+1)` always are)
-//!   so the all-zero initial potential is feasible. One search pass
-//!   settles nodes through a deterministic binary heap keyed
-//!   `(distance, node id)` and **stops the moment the sink settles** —
-//!   with warm potentials only a small wavefront around the cheapest
-//!   path is ever touched, which is the structural edge over the
-//!   label-correcting references (they relax the whole graph to
-//!   quiescence every pass). The potential update truncates labels at
-//!   `dist(t)` (`π(v) += min(dist(v), dist(t))`, unreached nodes take
-//!   the full `dist(t)`), which keeps reduced costs non-negative under
-//!   early exit; afterwards every cheapest path is *tight* (all
-//!   reduced costs exactly zero), and a **batched multi-source
-//!   augmentation** phase routes every tight source in one go: a
-//!   backward BFS from the sink over tight residual edges gates which
-//!   unsaturated tight source edges can possibly yield a path, then
-//!   per surviving source an independent read-only zero-search finds a
-//!   tight path to the sink (the searches shard over `sc_stats::par`
-//!   once the batch is wide enough), then candidates commit
-//!   sequentially in fixed `(cost, source-id)` order — all candidates
-//!   of one pass share the same cost, so the order degenerates to
-//!   source-edge id — skipping any path a previous commit saturated.
-//!   Augmenting only along tight paths keeps the potentials feasible
-//!   (the reverse of a tight edge is itself tight), which is the
-//!   invariant [`verify`] certifies, so any number of commits per pass
-//!   preserves optimality. The result is a pure function of the input
-//!   network: thread budgets change wall time only, never the flow.
-//! * [`ShortestPathEngine::Spfa`] — the label-correcting queue-based
-//!   Bellman–Ford this solver shipped with; kept as the ablation
-//!   baseline the `bench_round` solver A/B measures against.
-//! * [`ShortestPathEngine::BellmanFord`] — textbook Bellman–Ford, the
-//!   slow reference for the `mcmf_spfa_vs_bf` ablation bench.
-//!
-//! All engines walk the same **CSR adjacency** ([`MinCostMaxFlow`]
-//! flattens edge lists into `first`/`adj` arrays once per solve), in
-//! the same per-node edge order (ascending edge id), so the ablation
-//! references differ from the production engine only algorithmically.
+//! One engine finds those cheapest paths: Johnson-style
+//! **potential-based Dijkstra** over reduced costs
+//! `c_π(u→v) = c(u→v) + π(u) − π(v)`, valid because every entered cost
+//! is non-negative (the assignment costs `1/(if+1)` always are) so the
+//! all-zero initial potential is feasible. One search pass settles
+//! nodes through a deterministic binary heap keyed `(distance, node id)`
+//! and **stops the moment the sink settles** — with warm potentials
+//! only a small wavefront around the cheapest path is ever touched. The
+//! potential update truncates labels at `dist(t)`
+//! (`π(v) += min(dist(v), dist(t))`, unreached nodes take the full
+//! `dist(t)`), which keeps reduced costs non-negative under early exit;
+//! the pass then augments along its own predecessor chain, a cheapest
+//! residual path. Augmenting along a cheapest path keeps the potentials
+//! feasible, which is the invariant [`verify`] certifies. The search
+//! walks a flat **CSR adjacency** ([`MinCostMaxFlow`] flattens edge
+//! lists into `first`/`adj` arrays once per solve) in ascending edge-id
+//! order, so the routed flow is a pure function of the input network.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Tolerance for floating-point cost comparisons during
-/// label-correcting relaxation (SPFA / Bellman–Ford).
+/// Tolerance for floating-point cost comparisons during the
+/// certificate's Bellman–Ford relaxation.
 const COST_EPS: f64 = 1e-13;
-
-/// Tolerance under which a residual edge's reduced cost counts as
-/// *tight* (zero) during batched augmentation. Must sit well below the
-/// finest deliberate cost separation (the assignment layer's tie-break
-/// jitter is lattice-quantized at `2⁻³⁷ ≈ 7.3e-12`, so genuinely
-/// distinct plateau paths differ by at least that much) and well above
-/// accumulated `f64` rounding of short path sums (~`1e-15`). A coarser
-/// value silently degrades the batched engine into an *approximate*
-/// solver: it commits paths whose true cost exceeds the optimum by up
-/// to the slack, which the flow certificate rejects as a negative
-/// residual cycle and which diverges from the exact label-correcting
-/// references.
-const TIGHT_EPS: f64 = 1e-13;
-
-/// Minimum number of tight source edges before the per-source
-/// zero-searches fan out over worker threads; below this, spawn
-/// overhead dominates the (cheap) searches. Candidates are identical
-/// either way — shards merge in source order.
-const BATCH_SHARD_THRESHOLD: usize = 64;
-
-/// Which engine finds augmenting paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum ShortestPathEngine {
-    /// Potential-based Dijkstra with deterministic batched multi-source
-    /// augmentation (see the module docs) — the production engine.
-    #[default]
-    Dijkstra,
-    /// Queue-based Bellman–Ford (SPFA); the pre-Dijkstra production
-    /// engine, kept as the solver A/B baseline.
-    Spfa,
-    /// Textbook Bellman–Ford, kept for the ablation bench.
-    BellmanFord,
-}
-
-impl ShortestPathEngine {
-    /// Every engine, in the order ablation sweeps report them.
-    pub const ALL: [ShortestPathEngine; 3] = [
-        ShortestPathEngine::Dijkstra,
-        ShortestPathEngine::Spfa,
-        ShortestPathEngine::BellmanFord,
-    ];
-
-    /// Stable lowercase label (CLI flag values, bench JSON keys).
-    pub fn label(self) -> &'static str {
-        match self {
-            ShortestPathEngine::Dijkstra => "dijkstra",
-            ShortestPathEngine::Spfa => "spfa",
-            ShortestPathEngine::BellmanFord => "bellman-ford",
-        }
-    }
-
-    /// Parses a [`ShortestPathEngine::label`] (CLI `--solver` values);
-    /// accepts `bf` as shorthand for `bellman-ford`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "dijkstra" => Some(ShortestPathEngine::Dijkstra),
-            "spfa" => Some(ShortestPathEngine::Spfa),
-            "bellman-ford" | "bf" => Some(ShortestPathEngine::BellmanFord),
-            _ => None,
-        }
-    }
-}
 
 /// Result of an MCMF run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,14 +44,8 @@ pub struct FlowResult {
     pub cost: f64,
     /// Augmenting paths used.
     pub augmentations: usize,
-    /// Shortest-path search passes run. Label-correcting engines pay
-    /// one pass per augmentation (plus the final no-path pass); the
-    /// Dijkstra engine commits a whole batch of tight paths per pass,
-    /// so on tie plateaus `passes` drops below `augmentations` and the
-    /// gap measures how much the batching saved. When every path cost
-    /// is unique (the production case under tie-break jitter) exactly
-    /// one path is tight per pass and the counts match the
-    /// label-correcting engines'.
+    /// Shortest-path search passes run: one per augmentation plus the
+    /// final pass that finds the sink unreachable.
     pub passes: usize,
 }
 
@@ -155,8 +63,6 @@ pub struct MinCostMaxFlow {
     /// triggers a rebuild at the next solve.
     csr_edges: usize,
     n: usize,
-    engine: ShortestPathEngine,
-    threads: usize,
 }
 
 impl MinCostMaxFlow {
@@ -170,29 +76,7 @@ impl MinCostMaxFlow {
             adj: Vec::new(),
             csr_edges: usize::MAX,
             n,
-            engine: ShortestPathEngine::default(),
-            threads: 1,
         }
-    }
-
-    /// Selects the shortest-path engine (production default:
-    /// [`ShortestPathEngine::Dijkstra`]; the others are ablation
-    /// references).
-    #[must_use]
-    pub fn with_engine(mut self, engine: ShortestPathEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Sets the thread budget the Dijkstra engine's batched candidate
-    /// searches shard over (clamped to at least 1). Results are
-    /// bit-identical at any value — candidates are generated from a
-    /// read-only snapshot and committed in fixed source order — so this
-    /// trades wall time only. Label-correcting engines ignore it.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Number of nodes.
@@ -272,138 +156,6 @@ impl MinCostMaxFlow {
         self.csr_edges = m;
     }
 
-    /// Shortest-path distances and predecessor edges from `s` on the
-    /// residual graph (label-correcting engines). Returns `None` when
-    /// `t` is unreachable.
-    fn shortest_path(&self, s: usize, t: usize) -> Option<(Vec<f64>, Vec<u32>)> {
-        match self.engine {
-            ShortestPathEngine::Spfa => self.spfa(s, t),
-            ShortestPathEngine::BellmanFord => self.bellman_ford(s, t),
-            ShortestPathEngine::Dijkstra => unreachable!("dijkstra runs its own loop"),
-        }
-    }
-
-    fn spfa(&self, s: usize, t: usize) -> Option<(Vec<f64>, Vec<u32>)> {
-        let mut dist = vec![f64::INFINITY; self.n];
-        let mut pred = vec![u32::MAX; self.n];
-        let mut in_queue = vec![false; self.n];
-        let mut queue = VecDeque::new();
-        dist[s] = 0.0;
-        queue.push_back(s);
-        in_queue[s] = true;
-        while let Some(u) = queue.pop_front() {
-            in_queue[u] = false;
-            let du = dist[u];
-            for &e in self.row(u) {
-                let e = e as usize;
-                if self.cap[e] <= 0 {
-                    continue;
-                }
-                let v = self.to[e] as usize;
-                let nd = du + self.cost[e];
-                if nd + COST_EPS < dist[v] {
-                    dist[v] = nd;
-                    pred[v] = e as u32;
-                    if !in_queue[v] {
-                        in_queue[v] = true;
-                        queue.push_back(v);
-                    }
-                }
-            }
-        }
-        dist[t].is_finite().then_some((dist, pred))
-    }
-
-    fn bellman_ford(&self, s: usize, t: usize) -> Option<(Vec<f64>, Vec<u32>)> {
-        let mut dist = vec![f64::INFINITY; self.n];
-        let mut pred = vec![u32::MAX; self.n];
-        dist[s] = 0.0;
-        for _round in 0..self.n {
-            let mut changed = false;
-            for u in 0..self.n {
-                if !dist[u].is_finite() {
-                    continue;
-                }
-                for &e in self.row(u) {
-                    let e = e as usize;
-                    if self.cap[e] <= 0 {
-                        continue;
-                    }
-                    let v = self.to[e] as usize;
-                    let nd = dist[u] + self.cost[e];
-                    if nd + COST_EPS < dist[v] {
-                        dist[v] = nd;
-                        pred[v] = e as u32;
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        dist[t].is_finite().then_some((dist, pred))
-    }
-
-    /// Runs min-cost max-flow from `s` to `t`.
-    pub fn run(&mut self, s: usize, t: usize) -> FlowResult {
-        assert!(s < self.n && t < self.n, "node out of range");
-        if s == t {
-            return FlowResult {
-                flow: 0,
-                cost: 0.0,
-                augmentations: 0,
-                passes: 0,
-            };
-        }
-        self.ensure_csr();
-        match self.engine {
-            ShortestPathEngine::Dijkstra => self.run_dijkstra(s, t),
-            _ => self.run_label_correcting(s, t),
-        }
-    }
-
-    /// Classic successive shortest paths: one label-correcting search
-    /// per augmentation.
-    fn run_label_correcting(&mut self, s: usize, t: usize) -> FlowResult {
-        let mut flow = 0i64;
-        let mut cost = 0.0f64;
-        let mut augmentations = 0usize;
-        let mut passes = 0usize;
-        loop {
-            passes += 1;
-            let Some((dist, pred)) = self.shortest_path(s, t) else {
-                break;
-            };
-            // Bottleneck along the predecessor chain.
-            let mut bottleneck = i64::MAX;
-            let mut v = t;
-            while v != s {
-                let e = pred[v] as usize;
-                bottleneck = bottleneck.min(self.cap[e]);
-                v = self.tail(e);
-            }
-            debug_assert!(bottleneck > 0);
-            // Apply.
-            let mut v = t;
-            while v != s {
-                let e = pred[v] as usize;
-                self.cap[e] -= bottleneck;
-                self.cap[e ^ 1] += bottleneck;
-                v = self.tail(e);
-            }
-            flow += bottleneck;
-            cost += dist[t] * bottleneck as f64;
-            augmentations += 1;
-        }
-        FlowResult {
-            flow,
-            cost,
-            augmentations,
-            passes,
-        }
-    }
-
     /// Reduced cost of residual edge `e` under potentials `pot`.
     #[inline]
     fn reduced(&self, e: usize, pot: &[f64]) -> f64 {
@@ -414,9 +166,8 @@ impl MinCostMaxFlow {
     /// the moment `t` settles: returns `dist(t)` (`∞` when `t` is
     /// unreachable). Only the wavefront strictly cheaper than the
     /// augmenting path is settled — with warm potentials that is a
-    /// small neighborhood of the path, which is where this engine beats
-    /// the label-correcting references (they must relax the whole graph
-    /// to quiescence every pass). Two further prunes keep the heap
+    /// small neighborhood of the path, where a label-correcting search
+    /// would relax the whole graph to quiescence. Two further prunes keep the heap
     /// small: the per-node potential is hoisted out of the edge scan,
     /// and labels above the tentative `dist(t)` upper bound are never
     /// pushed (such nodes cannot lie on a cheapest `s → t` path). The
@@ -519,245 +270,69 @@ impl MinCostMaxFlow {
         f64::INFINITY
     }
 
-    /// Deterministic zero-search: the cheapest-path candidate for one
-    /// tight source edge. Starting *after* `src_edge`, a breadth-first
-    /// walk over tight residual edges (reduced cost ≤ [`TIGHT_EPS`],
-    /// capacity left) looks for `t`; node `s` is never re-entered, so
-    /// the candidate always begins with its own source edge. Fixed CSR
-    /// edge order and first-discovery predecessors make the returned
-    /// edge path a pure function of the residual snapshot.
-    fn zero_path(
-        &self,
-        src_edge: usize,
-        s: usize,
-        t: usize,
-        pot: &[f64],
-        scratch: &mut ZeroSearch,
-    ) -> Option<Vec<u32>> {
-        let start = self.to[src_edge] as usize;
-        scratch.reset();
-        scratch.visit(s, u32::MAX); // never walk back through the source
-        scratch.visit(start, src_edge as u32);
-        scratch.queue.push_back(start as u32);
-        while let Some(u) = scratch.queue.pop_front() {
-            let u = u as usize;
-            if u == t {
-                break;
-            }
-            let pu = pot[u];
-            for &e in self.row(u) {
-                let e = e as usize;
-                if self.cap[e] <= 0 {
-                    continue;
-                }
-                let v = self.to[e] as usize;
-                if scratch.seen(v) || (self.cost[e] + pu - pot[v]).abs() > TIGHT_EPS {
-                    continue;
-                }
-                scratch.visit(v, e as u32);
-                scratch.queue.push_back(v as u32);
-            }
+    /// Runs min-cost max-flow from `s` to `t`: successive shortest
+    /// paths, one Dijkstra pass and one augmentation along its
+    /// predecessor chain per pass (see the module docs).
+    pub fn run(&mut self, s: usize, t: usize) -> FlowResult {
+        assert!(s < self.n && t < self.n, "node out of range");
+        let mut result = FlowResult {
+            flow: 0,
+            cost: 0.0,
+            augmentations: 0,
+            passes: 0,
+        };
+        if s == t {
+            return result;
         }
-        if !scratch.seen(t) {
-            return None;
-        }
-        // Reconstruct src_edge ... t as a forward edge list.
-        let mut path = Vec::new();
-        let mut v = t;
-        while v != s {
-            let e = scratch.pred[v];
-            path.push(e);
-            v = self.tail(e as usize);
-        }
-        path.reverse();
-        Some(path)
-    }
-
-    /// Whether every edge of `path` still has residual capacity.
-    #[inline]
-    fn path_open(&self, path: &[u32]) -> bool {
-        path.iter().all(|&e| self.cap[e as usize] > 0)
-    }
-
-    /// Potential-based Dijkstra with batched multi-source augmentation
-    /// (see the module docs for the full algorithm and its determinism
-    /// argument).
-    fn run_dijkstra(&mut self, s: usize, t: usize) -> FlowResult {
+        self.ensure_csr();
         let n = self.n;
         let mut pot = vec![0.0f64; n];
         let mut dist = vec![f64::INFINITY; n];
         let mut pred = vec![u32::MAX; n];
         let mut heap: BinaryHeap<Reverse<HeapKey>> = BinaryHeap::new();
-        // Persistent generation-stamped scratch: `reach` for the
-        // backward tight-reachability gate, `seq` for sequential
-        // zero-searches and commit-time fallbacks. Allocated once per
-        // solve, not per pass.
-        let mut reach = ZeroSearch::new(n);
-        let mut seq = ZeroSearch::new(n);
         let mut zero: VecDeque<u32> = VecDeque::new();
-        let mut flow = 0i64;
-        let mut cost = 0.0f64;
-        let mut augmentations = 0usize;
-        let mut passes = 0usize;
-
         loop {
-            passes += 1;
+            result.passes += 1;
             let dt = self.dijkstra_pass(s, t, &pot, &mut dist, &mut pred, &mut heap, &mut zero);
             if !dt.is_finite() {
                 break;
             }
-            // Make every cheapest path tight. The pass stops the moment
-            // `t` settles, so labels are truncated at `dt = dist(t)`:
-            // `π(v) += min(dist(v), dt)`, with unreached nodes (label
-            // still ∞) taking the full `dt`. This keeps reduced costs
-            // non-negative everywhere — settled nodes (`dist < dt`)
-            // have fully relaxed out-edges; everything else gets the
-            // uniform `dt` increment, which cannot decrease any reduced
-            // cost by more than its head gains — while nodes on the
-            // cheapest path (all settled, labels ≤ dt) become exactly
-            // tight.
+            // The pass stops the moment `t` settles, so labels are
+            // truncated at `dt = dist(t)`: `π(v) += min(dist(v), dt)`,
+            // with unreached nodes (label still ∞) taking the full
+            // `dt`. This keeps reduced costs non-negative everywhere —
+            // settled nodes (`dist < dt`) have fully relaxed
+            // out-edges; everything else gets the uniform `dt`
+            // increment, which cannot decrease any reduced cost by more
+            // than its head gains.
             for (p, &d) in pot.iter_mut().zip(dist.iter()) {
                 *p += d.min(dt);
             }
-
-            // Backward tight-reachability from `t`: the set of nodes
-            // with a tight residual path to the sink. A source edge can
-            // only yield a candidate if its head is in this set, so the
-            // (cheap, wavefront-sized) BFS prunes the hopeless
-            // zero-searches — on unique-cost instances typically all
-            // but one. Scanning node v's CSR row and taking each edge's
-            // partner enumerates exactly the residual edges *into* v.
-            reach.reset();
-            reach.visit(t, u32::MAX);
-            reach.queue.push_back(t as u32);
-            while let Some(v) = reach.queue.pop_front() {
-                let v = v as usize;
-                let pv = pot[v];
-                for &g in self.row(v) {
-                    let p = (g ^ 1) as usize;
-                    if self.cap[p] <= 0 {
-                        continue;
-                    }
-                    let u = self.to[g as usize] as usize;
-                    if reach.seen(u) || (self.cost[p] + pot[u] - pv).abs() > TIGHT_EPS {
-                        continue;
-                    }
-                    reach.visit(u, u32::MAX);
-                    reach.queue.push_back(u as u32);
-                }
+            // Bottleneck along the predecessor chain.
+            let mut bottleneck = i64::MAX;
+            let mut v = t;
+            while v != s {
+                let e = pred[v] as usize;
+                bottleneck = bottleneck.min(self.cap[e]);
+                v = self.tail(e);
             }
-
-            // Candidate generation: one read-only zero-search per
-            // unsaturated tight source edge whose head tight-reaches
-            // `t`, sharded over the thread budget once the batch is
-            // wide enough to amortize the spawns. Shards merge in
-            // source order, so the candidate list is identical at any
-            // budget.
-            let pot_s = pot[s];
-            let tight: Vec<u32> = self
-                .row(s)
-                .iter()
-                .copied()
-                .filter(|&e| {
-                    let e = e as usize;
-                    let v = self.to[e] as usize;
-                    self.cap[e] > 0
-                        && reach.seen(v)
-                        && (self.cost[e] + pot_s - pot[v]).abs() <= TIGHT_EPS
-                })
-                .collect();
-            let candidates: Vec<Option<Vec<u32>>> = if tight.len() >= BATCH_SHARD_THRESHOLD {
-                let this = &*self;
-                let pot_ref = &pot;
-                let tight_ref = &tight;
-                sc_stats::par::map_shards(tight.len(), self.threads, |lo, hi| {
-                    let mut scratch = ZeroSearch::new(n);
-                    (lo..hi)
-                        .map(|i| this.zero_path(tight_ref[i] as usize, s, t, pot_ref, &mut scratch))
-                        .collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            } else {
-                tight
-                    .iter()
-                    .map(|&e| self.zero_path(e as usize, s, t, &pot, &mut seq))
-                    .collect()
-            };
-
-            // Commit phase: fixed (cost, source-id) order — every
-            // candidate of this pass costs the same (tight paths), so
-            // the order degenerates to ascending source-edge id. When a
-            // previous commit saturated a candidate's path, a fresh
-            // sequential zero-search against the *current* residual
-            // state replaces it (augmenting along tight edges only adds
-            // tight reverse edges, so the tight subgraph stays valid).
-            // Sources whose snapshot search already came up empty are
-            // skipped outright — only invalidated candidates earn a
-            // re-search. Both the snapshot candidates and the
-            // sequential fallback are pure functions of the input
-            // network, so the committed flow is identical at every
-            // thread budget.
-            let mut committed = 0usize;
-            for (i, candidate) in candidates.into_iter().enumerate() {
-                let path = match candidate {
-                    Some(p) if self.path_open(&p) => Some(p),
-                    Some(_) => self.zero_path(tight[i] as usize, s, t, &pot, &mut seq),
-                    None => None,
-                };
-                let Some(path) = path else { continue };
-                let mut bottleneck = i64::MAX;
-                for &e in &path {
-                    bottleneck = bottleneck.min(self.cap[e as usize]);
-                }
-                debug_assert!(bottleneck > 0);
-                let mut path_cost = 0.0f64;
-                for &e in &path {
-                    let e = e as usize;
-                    self.cap[e] -= bottleneck;
-                    self.cap[e ^ 1] += bottleneck;
-                    path_cost += self.cost[e];
-                }
-                flow += bottleneck;
-                cost += path_cost * bottleneck as f64;
-                augmentations += 1;
-                committed += 1;
+            debug_assert!(bottleneck > 0);
+            // Apply.
+            let mut path_cost = 0.0f64;
+            let mut v = t;
+            while v != s {
+                let e = pred[v] as usize;
+                self.cap[e] -= bottleneck;
+                self.cap[e ^ 1] += bottleneck;
+                path_cost += self.cost[e];
+                v = self.tail(e);
             }
-            // The Dijkstra pred chain is itself a tight feasible path,
-            // so a reachable sink always commits at least one — this is
-            // what guarantees termination.
-            debug_assert!(committed > 0, "reachable sink committed no path");
+            result.flow += bottleneck;
+            result.cost += path_cost * bottleneck as f64;
+            result.augmentations += 1;
         }
-        FlowResult {
-            flow,
-            cost,
-            augmentations,
-            passes,
-        }
+        result
     }
-}
-
-/// Runs the same network under two engines and returns
-/// `(result_a, result_b, flows_agree)` where `flows_agree` is true iff
-/// the routed flow matches **edge for edge** (not just in total). The
-/// differential suites and the `bench_round` solver A/B use this to
-/// pin cross-engine agreement.
-pub fn run_pair(
-    net: &MinCostMaxFlow,
-    s: usize,
-    t: usize,
-    a: ShortestPathEngine,
-    b: ShortestPathEngine,
-) -> (FlowResult, FlowResult, bool) {
-    let mut ga = net.clone().with_engine(a);
-    let mut gb = net.clone().with_engine(b);
-    let ra = ga.run(s, t);
-    let rb = gb.run(s, t);
-    let agree = (0..net.to.len())
-        .step_by(2)
-        .all(|e| ga.flow_on(e) == gb.flow_on(e));
-    (ra, rb, agree)
 }
 
 /// Heap key for the deterministic Dijkstra: orders by distance, ties
@@ -785,42 +360,6 @@ impl PartialOrd for HeapKey {
     }
 }
 
-/// Reusable scratch for one shard's zero-searches: generation-stamped
-/// visit marks (no per-search clearing) plus predecessor edges.
-struct ZeroSearch {
-    stamp: Vec<u32>,
-    pred: Vec<u32>,
-    queue: VecDeque<u32>,
-    generation: u32,
-}
-
-impl ZeroSearch {
-    fn new(n: usize) -> Self {
-        ZeroSearch {
-            stamp: vec![0; n],
-            pred: vec![u32::MAX; n],
-            queue: VecDeque::new(),
-            generation: 0,
-        }
-    }
-
-    fn reset(&mut self) {
-        self.generation += 1;
-        self.queue.clear();
-    }
-
-    #[inline]
-    fn seen(&self, v: usize) -> bool {
-        self.stamp[v] == self.generation
-    }
-
-    #[inline]
-    fn visit(&mut self, v: usize, pred_edge: u32) {
-        self.stamp[v] = self.generation;
-        self.pred[v] = pred_edge;
-    }
-}
-
 /// A violated certificate condition, with a human-readable diagnosis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertificateError(String);
@@ -832,8 +371,7 @@ impl std::fmt::Display for CertificateError {
 }
 
 /// Certifies that a solved network holds a **min-cost max-flow** from
-/// `s` to `t` matching `result` — independent of which engine produced
-/// it. Checks, in order:
+/// `s` to `t` matching `result` — independent of how it was produced. Checks, in order:
 ///
 /// 1. **capacity bounds** — every residual capacity is non-negative
 ///    (equivalently `0 ≤ flow(e) ≤ cap(e)` per forward edge);
@@ -962,64 +500,41 @@ pub fn verify(
 mod tests {
     use super::*;
 
-    fn run_engines(
-        build: impl Fn() -> MinCostMaxFlow,
-        s: usize,
-        t: usize,
-    ) -> Vec<(ShortestPathEngine, FlowResult)> {
-        ShortestPathEngine::ALL
-            .into_iter()
-            .map(|engine| {
-                let mut g = build().with_engine(engine);
-                let r = g.run(s, t);
-                verify(&g, s, t, &r, 1e-9)
-                    .unwrap_or_else(|e| panic!("{} certificate: {e}", engine.label()));
-                (engine, r)
-            })
-            .collect()
+    /// Solves `g` and checks the flow certificate.
+    fn solve(mut g: MinCostMaxFlow, s: usize, t: usize) -> FlowResult {
+        let r = g.run(s, t);
+        verify(&g, s, t, &r, 1e-9).unwrap_or_else(|e| panic!("certificate: {e}"));
+        r
     }
 
     #[test]
     fn prefers_cheap_path() {
         // Two disjoint unit paths; only one unit of demand can't happen —
         // max flow is 2, but the cheap path must carry flow first.
-        let build = || {
-            let mut g = MinCostMaxFlow::new(4);
-            g.add_edge(0, 1, 1, 1.0);
-            g.add_edge(1, 3, 1, 1.0);
-            g.add_edge(0, 2, 1, 10.0);
-            g.add_edge(2, 3, 1, 10.0);
-            g
-        };
-        for (engine, r) in run_engines(build, 0, 3) {
-            assert_eq!(r.flow, 2, "{}", engine.label());
-            assert!((r.cost - 22.0).abs() < 1e-9, "{}", engine.label());
-        }
+        let mut g = MinCostMaxFlow::new(4);
+        g.add_edge(0, 1, 1, 1.0);
+        g.add_edge(1, 3, 1, 1.0);
+        g.add_edge(0, 2, 1, 10.0);
+        g.add_edge(2, 3, 1, 10.0);
+        let r = solve(g, 0, 3);
+        assert_eq!(r.flow, 2);
+        assert!((r.cost - 22.0).abs() < 1e-9);
     }
 
     #[test]
     fn max_flow_takes_priority_over_cost() {
         // Routing greedily by cost alone would block the second unit;
         // MCMF must still find flow = 2 (reusing residual edges).
-        let build = || {
-            let mut g = MinCostMaxFlow::new(4);
-            g.add_edge(0, 1, 1, 0.0);
-            g.add_edge(0, 2, 1, 5.0);
-            g.add_edge(1, 2, 1, 0.0);
-            g.add_edge(1, 3, 1, 9.0);
-            g.add_edge(2, 3, 2, 1.0);
-            g
-        };
-        for (engine, r) in run_engines(build, 0, 3) {
-            assert_eq!(r.flow, 2, "{}", engine.label());
-            // Optimal: 0->1->2->3 (1.0) + 0->2->3 (6.0) = 7.0
-            assert!(
-                (r.cost - 7.0).abs() < 1e-9,
-                "{}: {}",
-                engine.label(),
-                r.cost
-            );
-        }
+        let mut g = MinCostMaxFlow::new(4);
+        g.add_edge(0, 1, 1, 0.0);
+        g.add_edge(0, 2, 1, 5.0);
+        g.add_edge(1, 2, 1, 0.0);
+        g.add_edge(1, 3, 1, 9.0);
+        g.add_edge(2, 3, 2, 1.0);
+        let r = solve(g, 0, 3);
+        assert_eq!(r.flow, 2);
+        // Optimal: 0->1->2->3 (1.0) + 0->2->3 (6.0) = 7.0
+        assert!((r.cost - 7.0).abs() < 1e-9, "{}", r.cost);
     }
 
     #[test]
@@ -1027,35 +542,29 @@ mod tests {
         // 2 workers, 2 tasks. w0 can do both (costs 0.1, 0.9),
         // w1 only task0 (cost 0.2). Max cardinality 2 forces w0->t1.
         let (s, w0, w1, t0, t1, t) = (0, 1, 2, 3, 4, 5);
-        let build = move || {
-            let mut g = MinCostMaxFlow::new(6);
-            g.add_edge(s, w0, 1, 0.0);
-            g.add_edge(s, w1, 1, 0.0);
-            g.add_edge(w0, t0, 1, 0.1);
-            g.add_edge(w0, t1, 1, 0.9);
-            g.add_edge(w1, t0, 1, 0.2);
-            g.add_edge(t0, t, 1, 0.0);
-            g.add_edge(t1, t, 1, 0.0);
-            g
-        };
-        for (engine, r) in run_engines(build, s, t) {
-            assert_eq!(r.flow, 2, "{}", engine.label());
-            assert!((r.cost - 1.1).abs() < 1e-9, "{}", engine.label());
-        }
+        let mut g = MinCostMaxFlow::new(6);
+        g.add_edge(s, w0, 1, 0.0);
+        g.add_edge(s, w1, 1, 0.0);
+        g.add_edge(w0, t0, 1, 0.1);
+        g.add_edge(w0, t1, 1, 0.9);
+        g.add_edge(w1, t0, 1, 0.2);
+        g.add_edge(t0, t, 1, 0.0);
+        g.add_edge(t1, t, 1, 0.0);
+        let r = solve(g, s, t);
+        assert_eq!(r.flow, 2);
+        assert!((r.cost - 1.1).abs() < 1e-9);
     }
 
     #[test]
     fn flow_on_reconstructs_assignment() {
         let (s, w0, t0, t) = (0, 1, 2, 3);
-        for engine in ShortestPathEngine::ALL {
-            let mut g = MinCostMaxFlow::new(4).with_engine(engine);
-            g.add_edge(s, w0, 1, 0.0);
-            let e = g.add_edge(w0, t0, 1, 0.3);
-            g.add_edge(t0, t, 1, 0.0);
-            let r = g.run(s, t);
-            assert_eq!(r.flow, 1);
-            assert_eq!(g.flow_on(e), 1);
-        }
+        let mut g = MinCostMaxFlow::new(4);
+        g.add_edge(s, w0, 1, 0.0);
+        let e = g.add_edge(w0, t0, 1, 0.3);
+        g.add_edge(t0, t, 1, 0.0);
+        let r = g.run(s, t);
+        assert_eq!(r.flow, 1);
+        assert_eq!(g.flow_on(e), 1);
     }
 
     #[test]
@@ -1079,39 +588,31 @@ mod tests {
 
     #[test]
     fn capacities_above_one() {
-        let build = || {
-            let mut g = MinCostMaxFlow::new(3);
-            g.add_edge(0, 1, 5, 2.0);
-            g.add_edge(1, 2, 3, 1.0);
-            g
-        };
-        for (engine, r) in run_engines(build, 0, 2) {
-            assert_eq!(r.flow, 3, "{}", engine.label());
-            assert!((r.cost - 9.0).abs() < 1e-9, "{}", engine.label());
-        }
+        let mut g = MinCostMaxFlow::new(3);
+        g.add_edge(0, 1, 5, 2.0);
+        g.add_edge(1, 2, 3, 1.0);
+        let r = solve(g, 0, 2);
+        assert_eq!(r.flow, 3);
+        assert!((r.cost - 9.0).abs() < 1e-9);
     }
 
     #[test]
     fn zero_cost_network_is_pure_maxflow() {
-        let build = || {
-            let mut g = MinCostMaxFlow::new(4);
-            g.add_edge(0, 1, 2, 0.0);
-            g.add_edge(0, 2, 2, 0.0);
-            g.add_edge(1, 3, 2, 0.0);
-            g.add_edge(2, 3, 1, 0.0);
-            g
-        };
-        for (engine, r) in run_engines(build, 0, 3) {
-            assert_eq!(r.flow, 3, "{}", engine.label());
-            assert_eq!(r.cost, 0.0, "{}", engine.label());
-        }
+        let mut g = MinCostMaxFlow::new(4);
+        g.add_edge(0, 1, 2, 0.0);
+        g.add_edge(0, 2, 2, 0.0);
+        g.add_edge(1, 3, 2, 0.0);
+        g.add_edge(2, 3, 1, 0.0);
+        let r = solve(g, 0, 3);
+        assert_eq!(r.flow, 3);
+        assert_eq!(r.cost, 0.0);
     }
 
     #[test]
-    fn batching_needs_fewer_passes_than_augmentations() {
+    fn one_pass_per_augmentation() {
         // A wide tie plateau: 6 workers, 6 tasks, every pair cost 1.0.
-        // The Dijkstra engine must route the whole plateau in O(1)
-        // passes while still finding all 6 units.
+        // Each pass augments along the one path it found, and a final
+        // pass finds the sink unreachable.
         let n = 6usize;
         let (s, t) = (0, 2 * n + 1);
         let mut g = MinCostMaxFlow::new(2 * n + 2);
@@ -1126,56 +627,11 @@ mod tests {
                 g.add_edge(1 + w, 1 + n + task, 1, 1.0);
             }
         }
-        let r = g.run(s, t);
+        let r = solve(g, s, t);
         assert_eq!(r.flow, n as i64);
         assert!((r.cost - n as f64).abs() < 1e-9);
         assert_eq!(r.augmentations, n);
-        assert!(
-            r.passes < r.augmentations,
-            "plateau not batched: {} passes for {} augmentations",
-            r.passes,
-            r.augmentations
-        );
-        verify(&g, s, t, &r, 1e-9).unwrap();
-    }
-
-    #[test]
-    fn dijkstra_is_thread_invariant() {
-        // Edge-for-edge identical flow at any thread budget, on a
-        // tie-heavy instance where batching actually kicks in.
-        let n = 9usize;
-        let build = |threads| {
-            let (s, t) = (0, 2 * n + 1);
-            let mut g = MinCostMaxFlow::new(2 * n + 2).with_threads(threads);
-            for w in 0..n {
-                g.add_edge(s, 1 + w, 1, 0.0);
-            }
-            for task in 0..n {
-                g.add_edge(1 + n + task, t, 1, 0.0);
-            }
-            for w in 0..n {
-                for task in 0..n {
-                    let cost = if (w + task) % 3 == 0 { 1.0 } else { 2.0 };
-                    g.add_edge(1 + w, 1 + n + task, 1, cost);
-                }
-            }
-            g
-        };
-        let (s, t) = (0, 2 * n + 1);
-        let mut base = build(1);
-        let base_result = base.run(s, t);
-        for threads in [2usize, 4, 8] {
-            let mut g = build(threads);
-            let r = g.run(s, t);
-            assert_eq!(r, base_result, "result diverged at {threads} threads");
-            for e in (0..g.to.len()).step_by(2) {
-                assert_eq!(
-                    g.flow_on(e),
-                    base.flow_on(e),
-                    "edge {e} flow diverged at {threads} threads"
-                );
-            }
-        }
+        assert_eq!(r.passes, n + 1);
     }
 
     #[test]
@@ -1243,59 +699,5 @@ mod tests {
         r.cost -= 0.5;
         r.flow += 1;
         assert!(verify(&g, 0, 2, &r, 1e-9).is_err());
-    }
-
-    #[test]
-    fn engines_agree_on_random_instances() {
-        use rand::rngs::SmallRng;
-        use rand::{RngExt, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(99);
-        for case in 0..20 {
-            let n_left = rng.random_range(1..6usize);
-            let n_right = rng.random_range(1..6usize);
-            let mut edges = Vec::new();
-            for l in 0..n_left {
-                for r in 0..n_right {
-                    if rng.random_bool(0.5) {
-                        edges.push((l, r, rng.random_range(1..100) as f64 / 17.0));
-                    }
-                }
-            }
-            let n = n_left + n_right + 2;
-            let s = 0;
-            let t = n - 1;
-            let build = |engine| {
-                let mut g = MinCostMaxFlow::new(n).with_engine(engine);
-                for l in 0..n_left {
-                    g.add_edge(s, 1 + l, 1, 0.0);
-                }
-                for r in 0..n_right {
-                    g.add_edge(1 + n_left + r, t, 1, 0.0);
-                }
-                for &(l, r, c) in &edges {
-                    g.add_edge(1 + l, 1 + n_left + r, 1, c);
-                }
-                g
-            };
-            let mut first: Option<FlowResult> = None;
-            for engine in ShortestPathEngine::ALL {
-                let mut g = build(engine);
-                let r = g.run(s, t);
-                verify(&g, s, t, &r, 1e-9)
-                    .unwrap_or_else(|e| panic!("case {case} {}: {e}", engine.label()));
-                if let Some(f) = first {
-                    assert_eq!(r.flow, f.flow, "case {case} {}", engine.label());
-                    assert!(
-                        (r.cost - f.cost).abs() < 1e-6,
-                        "case {case} {}: {} vs {}",
-                        engine.label(),
-                        r.cost,
-                        f.cost
-                    );
-                } else {
-                    first = Some(r);
-                }
-            }
-        }
     }
 }

@@ -1,16 +1,15 @@
-//! Exact-oracle differential suite for the MCMF engines.
+//! Exact-oracle differential suite for the MCMF solver.
 //!
 //! A bitmask dynamic program computes the *provably optimal*
 //! (max-cardinality, then min-cost) assignment for unit-capacity
 //! bipartite instances up to 8×8 — small enough for `O(T · 2^W · W)`
 //! exhaustion, large enough to exercise multi-pass augmentation,
-//! contested workers, and tie plateaus. Every [`ShortestPathEngine`]
-//! must reproduce the oracle's `(flow, cost)` exactly, pass the
-//! [`verify`] flow certificate after solving, and agree with every
-//! other engine **edge for edge** through [`run_pair`].
+//! contested workers, and tie plateaus. [`MinCostMaxFlow`] must
+//! reproduce the oracle's `(flow, cost)` exactly and pass the
+//! [`verify`] flow certificate after solving.
 
 use proptest::prelude::*;
-use sc_graph::{run_pair, verify, FlowResult, MinCostMaxFlow, ShortestPathEngine};
+use sc_graph::{verify, FlowResult, MinCostMaxFlow};
 
 /// A unit-capacity bipartite assignment instance: `workers` on the
 /// left, `tasks` on the right, eligible pairs with non-negative costs.
@@ -23,7 +22,7 @@ struct Instance {
 
 impl Instance {
     /// Node layout shared by every solve: source, workers, tasks, sink.
-    fn network(&self) -> (MinCostMaxFlow, usize, usize, Vec<usize>) {
+    fn network(&self) -> (MinCostMaxFlow, usize, usize) {
         let n = self.workers + self.tasks + 2;
         let (s, t) = (0, n - 1);
         let mut g = MinCostMaxFlow::new(n);
@@ -33,12 +32,10 @@ impl Instance {
         for task in 0..self.tasks {
             g.add_edge(1 + self.workers + task, t, 1, 0.0);
         }
-        let pair_edges = self
-            .edges
-            .iter()
-            .map(|&(w, task, c)| g.add_edge(1 + w, 1 + self.workers + task, 1, c))
-            .collect();
-        (g, s, t, pair_edges)
+        for &(w, task, c) in &self.edges {
+            g.add_edge(1 + w, 1 + self.workers + task, 1, c);
+        }
+        (g, s, t)
     }
 
     /// Exact oracle: max assigned tasks, then min total cost, by
@@ -98,38 +95,31 @@ impl Instance {
     }
 }
 
-fn solve(inst: &Instance, engine: ShortestPathEngine) -> (MinCostMaxFlow, FlowResult) {
-    let (g, s, t, _) = inst.network();
-    let mut g = g.with_engine(engine);
+fn solve(inst: &Instance) -> FlowResult {
+    let (mut g, s, t) = inst.network();
     let r = g.run(s, t);
-    verify(&g, s, t, &r, 1e-9)
-        .unwrap_or_else(|e| panic!("{} flow certificate failed: {e}", engine.label()));
-    (g, r)
+    verify(&g, s, t, &r, 1e-9).unwrap_or_else(|e| panic!("flow certificate failed: {e}"));
+    r
 }
 
 fn assert_matches_oracle(inst: &Instance) {
     let (want_flow, want_cost) = inst.oracle();
-    for engine in ShortestPathEngine::ALL {
-        let (_, r) = solve(inst, engine);
-        assert_eq!(
-            r.flow,
-            want_flow,
-            "{}: flow {} vs oracle {want_flow} on {inst:?}",
-            engine.label(),
-            r.flow
-        );
-        assert!(
-            (r.cost - want_cost).abs() < 1e-6,
-            "{}: cost {} vs oracle {want_cost} on {inst:?}",
-            engine.label(),
-            r.cost
-        );
-    }
+    let r = solve(inst);
+    assert_eq!(
+        r.flow, want_flow,
+        "flow {} vs oracle {want_flow} on {inst:?}",
+        r.flow
+    );
+    assert!(
+        (r.cost - want_cost).abs() < 1e-6,
+        "cost {} vs oracle {want_cost} on {inst:?}",
+        r.cost
+    );
 }
 
 /// Strategy: random unit-capacity bipartite network, ≤ `max_side` per
 /// side, distinct pairs, costs drawn from a lattice that manufactures
-/// exact ties (the hard case for deterministic engines).
+/// exact ties (the hard case for a deterministic solver).
 fn instance(max_side: usize) -> impl Strategy<Value = Instance> {
     (1..=max_side, 1..=max_side)
         .prop_flat_map(|(nw, nt)| {
@@ -154,54 +144,12 @@ fn instance(max_side: usize) -> impl Strategy<Value = Instance> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every engine reproduces the oracle's (flow, cost) on random
+    /// The solver reproduces the oracle's (flow, cost) on random
     /// 8×8-or-smaller instances, and every solve passes the
     /// certificate checker.
     #[test]
-    fn engines_match_exact_oracle(inst in instance(8)) {
+    fn solver_matches_exact_oracle(inst in instance(8)) {
         assert_matches_oracle(&inst);
-    }
-
-    /// All engine pairs agree edge-for-edge on the routed flow. The
-    /// cost lattice above produces genuine ties, so this also documents
-    /// that SSP-family engines resolve ties identically when the
-    /// cheapest solution is unique per edge — and `prop_assume`s away
-    /// the (rare) instances where two optimal assignments exist, which
-    /// the jitter at the assignment layer eliminates in production.
-    #[test]
-    fn engine_pairs_agree_edge_for_edge(inst in instance(6)) {
-        let (g, s, t, _) = inst.network();
-        let (want_flow, want_cost) = inst.oracle();
-        for (i, a) in ShortestPathEngine::ALL.into_iter().enumerate() {
-            for &b in &ShortestPathEngine::ALL[i + 1..] {
-                let (ra, rb, agree) = run_pair(&g, s, t, a, b);
-                prop_assert_eq!(ra.flow, want_flow);
-                prop_assert_eq!(rb.flow, want_flow);
-                prop_assert!((ra.cost - want_cost).abs() < 1e-6);
-                prop_assert!((rb.cost - want_cost).abs() < 1e-6);
-                prop_assume!(agree); // distinct optima: a documented tie
-            }
-        }
-    }
-
-    /// The Dijkstra engine's routed flow is bit-identical at thread
-    /// budgets 1, 2, 4 and 8 — candidates come from read-only
-    /// snapshots and commit in fixed source order, so the budget can
-    /// only change wall time.
-    #[test]
-    fn dijkstra_thread_budgets_agree(inst in instance(8)) {
-        let (base, s, t, pair_edges) = inst.network();
-        let mut g1 = base.clone().with_threads(1);
-        let r1 = g1.run(s, t);
-        for threads in [2usize, 4, 8] {
-            let mut g = base.clone().with_threads(threads);
-            let r = g.run(s, t);
-            prop_assert_eq!(r, r1);
-            for &e in &pair_edges {
-                prop_assert_eq!(g.flow_on(e), g1.flow_on(e),
-                    "pair edge {} diverged at {} threads", e, threads);
-            }
-        }
     }
 }
 

@@ -180,9 +180,9 @@ pub struct RoundReport {
     pub cache_hits: usize,
     /// Distinct task-content keys computed this round (excluded).
     pub cache_misses: usize,
-    /// Shortest-path search passes the MCMF solve ran (excluded:
-    /// engine-dependent — batching collapses passes — while the
-    /// assignment itself is engine-invariant).
+    /// Shortest-path search passes the MCMF solve ran, one per
+    /// augmentation plus the final no-path pass (excluded: solver
+    /// telemetry).
     pub solve_passes: usize,
     /// Augmenting paths the MCMF solve committed (excluded, like
     /// `solve_passes`).
@@ -1305,7 +1305,6 @@ mod tests {
                     ..Default::default()
                 },
                 online,
-                solver: Default::default(),
                 seed: 2,
             })
             .build(&dataset.social, &dataset.histories)

@@ -262,7 +262,6 @@ mod tests {
                 target_sets: 0,
                 incremental: true,
             },
-            solver: Default::default(),
             seed: 9,
         }
     }

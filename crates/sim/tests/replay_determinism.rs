@@ -58,7 +58,6 @@ fn config(threads: usize) -> DitaConfig {
             target_sets: 0,
             incremental: true,
         },
-        solver: Default::default(),
         seed: 0x5EED,
     }
 }

@@ -33,7 +33,6 @@ fn pipeline(data: &SyntheticDataset, threads: Parallelism, online: OnlineConfig)
                 ..Default::default()
             },
             online,
-            solver: Default::default(),
             seed: 21,
         })
         .build(&data.social, &data.histories)

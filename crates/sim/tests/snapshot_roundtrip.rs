@@ -42,7 +42,6 @@ fn pipeline(data: &SyntheticDataset, threads: Parallelism) -> DitaPipeline {
                 ..Default::default()
             },
             online: ONLINE,
-            solver: Default::default(),
             seed: 31,
         })
         .build(&data.social, &data.histories)
@@ -170,4 +169,65 @@ fn snapshot_text_is_stable_across_a_roundtrip() {
     let restored = snapshot_from_str(&first).unwrap();
     let second = snapshot_to_string(&restored).unwrap();
     assert_eq!(first, second, "snapshot text must be roundtrip-stable");
+}
+
+/// Inserts `"solver":"Dijkstra"` before `"seed"` in every serialized
+/// training configuration under `value` — the shape snapshots had
+/// while the configuration still named an MCMF engine. Returns how many
+/// configurations it found.
+fn add_stale_solver_key(value: &mut serde::json::Value) -> usize {
+    use serde::json::Value;
+    match value {
+        Value::Object(fields) => {
+            let mut found: usize = fields
+                .iter_mut()
+                .map(|(_, v)| add_stale_solver_key(v))
+                .sum();
+            let is_config = ["n_topics", "online", "seed"]
+                .iter()
+                .all(|key| fields.iter().any(|(k, _)| k == key));
+            if is_config {
+                let seed = fields.iter().position(|(k, _)| k == "seed").unwrap();
+                fields.insert(
+                    seed,
+                    ("solver".to_string(), Value::Str("Dijkstra".to_string())),
+                );
+                found += 1;
+            }
+            found
+        }
+        Value::Array(items) => items.iter_mut().map(add_stale_solver_key).sum(),
+        _ => 0,
+    }
+}
+
+#[test]
+fn snapshot_with_a_stale_solver_key_restores() {
+    // Struct fields are looked up by name, so a snapshot whose config
+    // still carries the removed engine choice restores to the same
+    // engine under the same `SNAPSHOT_VERSION`.
+    let data = dataset();
+    let mut engine = engine(&data, Parallelism::Single);
+    let cohort = data.instance_for_day(0, 0, 40, InstanceOptions::default());
+    for worker in cohort.instance.workers {
+        engine.ingest(EventKind::WorkerArrival { worker });
+    }
+    play_hour(&mut engine, &data, 8);
+
+    let current = snapshot_to_string(&engine).unwrap();
+    let mut value = serde::json::parse(&current).unwrap();
+    assert!(
+        add_stale_solver_key(&mut value) > 0,
+        "no config in snapshot"
+    );
+    let stale = value.to_json_string();
+    assert!(stale.contains("\"solver\":\"Dijkstra\""));
+
+    let mut restored = snapshot_from_str(&stale).expect("stale snapshot must restore");
+    assert_eq!(snapshot_to_string(&restored).unwrap(), current);
+    let mut fresh = snapshot_from_str(&current).unwrap();
+    assert_eq!(
+        play_hour(&mut restored, &data, 9),
+        play_hour(&mut fresh, &data, 9)
+    );
 }

@@ -18,9 +18,7 @@
 
 #![forbid(unsafe_code)]
 
-use dita::core::{
-    AlgorithmKind, DitaBuilder, DitaConfig, DitaPipeline, OnlineConfig, ShortestPathEngine,
-};
+use dita::core::{AlgorithmKind, DitaBuilder, DitaConfig, DitaPipeline, OnlineConfig};
 use dita::datagen::{
     io as dio, DatasetProfile, InstanceOptions, LoadedDataset, ReplayEvent, ReplayOptions,
     ReplayStream, SyntheticDataset,
@@ -105,9 +103,6 @@ FLAGS                 applies to            meaning (default)
                                             points, and online maintenance;
                                             0 = one per core; results are
                                             bit-identical at any count (0)
-  --solver E          all but generate      MCMF engine: dijkstra | spfa | bf;
-                                            assignments are identical under
-                                            every engine (dijkstra)
   --verbose           all but generate      print RPO diagnostics
   --out DIR           generate              output directory (data/)
   --day D             assign, simulate      simulated day index (0)
@@ -203,14 +198,6 @@ fn threads_of(flags: &HashMap<String, String>) -> Result<Parallelism, String> {
     }
 }
 
-fn solver_of(flags: &HashMap<String, String>) -> Result<ShortestPathEngine, String> {
-    match flags.get("solver") {
-        None => Ok(ShortestPathEngine::default()),
-        Some(v) => ShortestPathEngine::parse(v)
-            .ok_or_else(|| format!("unknown solver '{v}' (dijkstra | spfa | bf)")),
-    }
-}
-
 fn verbose_of(flags: &HashMap<String, String>) -> bool {
     matches!(flags.get("verbose").map(String::as_str), Some("true" | "1"))
 }
@@ -268,12 +255,7 @@ fn algorithm_of(flags: &HashMap<String, String>) -> Result<AlgorithmKind, String
     }
 }
 
-fn cli_config(
-    n_workers: usize,
-    seed: u64,
-    threads: Parallelism,
-    solver: ShortestPathEngine,
-) -> DitaConfig {
+fn cli_config(n_workers: usize, seed: u64, threads: Parallelism) -> DitaConfig {
     // Scale the model budget with the dataset so `bk`/`fs` stay usable
     // from the command line.
     let small = n_workers <= 1_000;
@@ -286,7 +268,6 @@ fn cli_config(
             threads,
             ..Default::default()
         },
-        solver,
         seed,
         ..Default::default()
     }
@@ -296,7 +277,6 @@ fn train(
     profile: &DatasetProfile,
     seed: u64,
     threads: Parallelism,
-    solver: ShortestPathEngine,
     verbose: bool,
 ) -> (SyntheticDataset, DitaPipeline) {
     eprintln!(
@@ -305,7 +285,7 @@ fn train(
     );
     let data = SyntheticDataset::generate(profile, seed);
     let pipeline = DitaBuilder::new()
-        .config(cli_config(profile.n_workers, seed, threads, solver))
+        .config(cli_config(profile.n_workers, seed, threads))
         .build(&data.social, &data.histories)
         .expect("training");
     if verbose {
@@ -367,13 +347,7 @@ fn cmd_assign(flags: &HashMap<String, String>) -> Result<(), String> {
         ..Default::default()
     };
 
-    let (data, pipeline) = train(
-        &profile,
-        seed,
-        threads_of(flags)?,
-        solver_of(flags)?,
-        verbose_of(flags),
-    );
+    let (data, pipeline) = train(&profile, seed, threads_of(flags)?, verbose_of(flags));
     let inst = data.instance_for_day(day, n_tasks, n_workers, opts);
     let start = std::time::Instant::now();
     let a = pipeline.assign_with_venues(&inst.instance, &inst.task_venues, algorithm);
@@ -426,7 +400,7 @@ fn cmd_sweep(flags: &HashMap<String, String>, ablation: bool) -> Result<(), Stri
         SweepValues::paper_defaults()
     };
     let threads = threads_of(flags)?;
-    let config = cli_config(profile.n_workers, seed, threads, solver_of(flags)?);
+    let config = cli_config(profile.n_workers, seed, threads);
     // One knob for the whole run: `threads` governs RRR sampling during
     // training (inside `config.rpo`) *and* sweep-point evaluation below.
     let runner = ExperimentRunner::with_threads(&profile, seed, config, threads).days(4);
@@ -507,12 +481,7 @@ fn cmd_online(flags: &HashMap<String, String>) -> Result<(), String> {
     );
     let data = SyntheticDataset::generate(&profile, seed);
     let pipeline = DitaBuilder::new()
-        .config(cli_config(
-            profile.n_workers,
-            seed,
-            threads,
-            solver_of(flags)?,
-        ))
+        .config(cli_config(profile.n_workers, seed, threads))
         .online(online)
         .build(&data.social, &data.histories)
         .expect("training");
@@ -645,7 +614,7 @@ fn cmd_replay(flags: &HashMap<String, String>) -> Result<(), String> {
         .iter()
         .filter(|(_, h)| h.records().iter().any(|r| r.arrived.day() < day))
         .count();
-    let mut config = cli_config(slice_size, seed, threads, solver_of(flags)?);
+    let mut config = cli_config(slice_size, seed, threads);
     config.online = online;
     let run = replay_day(&data, day, config, &opts, algorithm).map_err(|e| e.to_string())?;
     let report = &run.report;
@@ -747,12 +716,7 @@ fn serve_engine(flags: &HashMap<String, String>) -> Result<OnlineEngine<'static>
             threads
         );
         let pipeline = DitaBuilder::new()
-            .config(cli_config(
-                slice.social.n_workers(),
-                seed,
-                threads,
-                solver_of(flags)?,
-            ))
+            .config(cli_config(slice.social.n_workers(), seed, threads))
             .online(online)
             .build(&slice.social, &slice.histories)
             .map_err(|e| e.to_string())?;
@@ -765,12 +729,7 @@ fn serve_engine(flags: &HashMap<String, String>) -> Result<OnlineEngine<'static>
         );
         let data = SyntheticDataset::generate(&profile, seed);
         let pipeline = DitaBuilder::new()
-            .config(cli_config(
-                profile.n_workers,
-                seed,
-                threads,
-                solver_of(flags)?,
-            ))
+            .config(cli_config(profile.n_workers, seed, threads))
             .online(online)
             .build(&data.social, &data.histories)
             .map_err(|e| e.to_string())?;
@@ -982,13 +941,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
     let seed: u64 = num(flags, "seed", 42)?;
     let day: usize = num(flags, "day", 0)?;
     let algorithm = algorithm_of(flags)?;
-    let (data, pipeline) = train(
-        &profile,
-        seed,
-        threads_of(flags)?,
-        solver_of(flags)?,
-        verbose_of(flags),
-    );
+    let (data, pipeline) = train(&profile, seed, threads_of(flags)?, verbose_of(flags));
     let config = DayConfig::default();
     let report = simulate_day(&data, &pipeline, day, &config, algorithm);
     println!("hour  open  online  assigned      AI");
