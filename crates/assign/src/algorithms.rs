@@ -1,18 +1,20 @@
 //! The assignment algorithms (paper Section IV + evaluation baselines).
 
 use crate::eligibility::EligibilityMatrix;
-use crate::graph::AssignmentGraph;
 use crate::oracle::InfluenceOracle;
-use sc_graph::Dinic;
+use sc_graph::lap::{self, SparseCosts};
+use sc_graph::HopcroftKarp;
 use sc_types::{Assignment, AssignmentPair, Instance};
 use std::fmt;
 
 /// Which algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlgorithmKind {
-    /// Maximum Task Assignment: influence-agnostic max-flow (baseline).
+    /// Maximum Task Assignment: influence-agnostic maximum matching
+    /// (baseline).
     Mta,
-    /// Influence-aware Assignment: MCMF with cost `1/(if+1)`.
+    /// Influence-aware Assignment: most tasks, then least total cost
+    /// `1/(if+1)` (the paper's MCMF).
     Ia,
     /// Entropy-based IA: cost `(s.e+1)/(if+1)`.
     Eia,
@@ -138,15 +140,15 @@ pub fn run_scored(
 }
 
 /// Solver-phase telemetry from one [`run_scored_with_stats`] call.
-/// Zero for the non-flow algorithms (MI, greedy) and for MTA (Dinic
-/// does not count augmentations). Deterministic facts of the instance,
+/// Zero for MTA, MI and greedy. Deterministic facts of the instance,
 /// but telemetry all the same: round-report equality never compares
 /// them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Shortest-path search passes the MCMF solve ran.
+    /// Shortest-augmenting-path searches the IA/EIA/DIA solve ran: one
+    /// per worker row.
     pub passes: usize,
-    /// Augmenting paths the MCMF solve committed.
+    /// Searches that grew the matching (one per assigned task).
     pub augmentations: usize,
 }
 
@@ -206,57 +208,44 @@ pub fn score_pairs(input: &AssignInput<'_>, matrix: &EligibilityMatrix) -> Vec<f
     sc_stats::par::map_chunked(pairs.len(), threads, |pi| score(&pairs[pi]))
 }
 
+/// Builds the assignment from chosen pair indices, in the given order.
 fn to_assignment(
     input: &AssignInput<'_>,
     matrix: &EligibilityMatrix,
     influences: &[f64],
-    chosen: &[(u32, u32)],
+    chosen: impl IntoIterator<Item = usize>,
 ) -> Assignment {
-    // Map (worker_idx, task_idx) -> pair index for influence lookup.
-    let mut by_pair = std::collections::HashMap::with_capacity(matrix.n_pairs());
-    for (pi, p) in matrix.pairs().iter().enumerate() {
-        by_pair.insert((p.worker_idx, p.task_idx), pi);
-    }
     let mut assignment = Assignment::new();
-    for &(w, t) in chosen {
-        let pi = by_pair[&(w, t)];
+    for pi in chosen {
         let pair = matrix.pairs()[pi];
         let ok = assignment.push(AssignmentPair {
-            task: input.instance.tasks[t as usize].id,
-            worker: input.instance.workers[w as usize].id,
+            task: input.instance.tasks[pair.task_idx as usize].id,
+            worker: input.instance.workers[pair.worker_idx as usize].id,
             influence: influences[pi],
             distance_km: pair.distance_km,
         });
-        debug_assert!(ok, "flow solution produced a clash");
+        debug_assert!(ok, "solver produced a clash");
     }
     assignment
 }
 
-/// Lattice quantum of the tie-break jitter: `2⁻³⁷ ≈ 7.3e-12`. Every
-/// jitter is an integer multiple of this, so any two *distinct* path
-/// or matching costs built from plateau edges differ by at least one
-/// quantum — four orders of magnitude above accumulated `f64` path-sum
-/// rounding.
-const JITTER_QUANTUM: f64 = 1.0 / (1u64 << 37) as f64;
+/// One integer cost step: `2⁻³⁷ ≈ 7.3e-12` of a base cost. A pair's
+/// solver cost is `round(base / COST_UNIT) + tie_jitter(pi)`, an exact
+/// `i64` on this lattice (a base cost of at most ~`6.7e7` fits).
+const COST_UNIT: f64 = 1.0 / (1u64 << 37) as f64;
 
-/// Deterministic per-pair tie-break jitter: a bijective 18-bit scramble
-/// of the pair index placed on a dyadic lattice, `2⁻³⁷ · [2¹⁸, 2¹⁹)`
-/// (≈ `1.9e-6 ..= 3.8e-6`).
+/// Deterministic per-pair tie-break jitter, in [`COST_UNIT`]s: a
+/// bijective 18-bit scramble of the pair index placed in `[2¹⁸, 2¹⁹)`
+/// (≈ `1.9e-6 ..= 3.8e-6` of a base cost).
 ///
 /// The influence cost models produce *exact* ties (every zero-influence
 /// pair costs exactly `1.0`), and on a tied plateau many assignments
 /// are optimal, so which one the solver returns would hang on its path
 /// order. Adding a unique sub-`1e-5` perturbation per pair makes the
 /// min-cost optimum unique (the `tie_jitter_makes_the_plateau_optimum_unique`
-/// test enumerates small plateaus to pin this). Three properties make
+/// test enumerates small plateaus to pin this). Two properties make
 /// the separation real rather than wishful:
 ///
-/// * **Lattice-quantized.** Jitters are exact dyadic multiples of
-///   [`JITTER_QUANTUM`], so on a plateau (equal bases, which are the
-///   only pairs the jitter must separate) distinct path costs differ
-///   by ≥ one quantum, and short plateau sums are exact in `f64`. A
-///   full-granularity random jitter could put two near-optimal
-///   matchings within rounding of each other.
 /// * **Bijective.** The scramble is a 4-round Feistel permutation of
 ///   the low 18 bits of the pair index, so any two pairs (below `2¹⁸`)
 ///   get *provably distinct* offsets — no birthday collisions.
@@ -264,11 +253,12 @@ const JITTER_QUANTUM: f64 = 1.0 / (1u64 << 37) as f64;
 ///   crossing squares (`δ·a + δ·(b+1) = δ·(a+1) + δ·b`), leaving the
 ///   tie unbroken; the Feistel rounds destroy that structure.
 ///
-/// The magnitude cap (`< 4e-6` per pair) keeps the jitter far below
-/// any real cost gap (costs live in `(0, 1]` quantized no finer than
-/// ~`1e-4` by the influence estimates), so it never reorders genuinely
-/// different pairs.
-fn tie_jitter(pi: usize) -> f64 {
+/// Costs are integers, so distinct plateau matchings differ by at
+/// least one unit, exactly. The magnitude cap (`< 4e-6` per pair) keeps
+/// the jitter far below any real cost gap (costs live in `(0, 1]`
+/// quantized no finer than ~`1e-4` by the influence estimates), so it
+/// never reorders genuinely different pairs.
+fn tie_jitter(pi: usize) -> i64 {
     // 4-round Feistel over 9-bit halves: a bijection on [0, 2^18).
     let x = (pi as u32) & 0x3_FFFF;
     let (mut l, mut r) = (x >> 9, x & 0x1FF);
@@ -281,10 +271,11 @@ fn tie_jitter(pi: usize) -> f64 {
         l = r;
         r = next;
     }
-    let k = (1u32 << 18) | (l << 9) | r;
-    JITTER_QUANTUM * f64::from(k)
+    i64::from((1u32 << 18) | (l << 9) | r)
 }
 
+/// IA/EIA/DIA: the most tasks, then the least total cost under `model`
+/// — one [`lap::solve`] over the eligibility CSR, workers as rows.
 fn mcmf_assign(
     input: &AssignInput<'_>,
     matrix: &EligibilityMatrix,
@@ -301,64 +292,65 @@ fn mcmf_assign(
         _ => &[],
     };
 
-    let mut graph = AssignmentGraph::build(matrix, |pi| {
-        let p = &matrix.pairs()[pi];
-        let inf = influences[pi];
-        let base = match model {
-            CostModel::Influence => 1.0 / (inf + 1.0),
-            CostModel::EntropyInfluence => (entropy[p.task_idx as usize] + 1.0) / (inf + 1.0),
-            CostModel::DistanceInfluence => {
-                let worker = &input.instance.workers[p.worker_idx as usize];
-                let f = 1.0 - (p.distance_km / worker.radius_km).min(1.0);
-                1.0 / (f * inf + 1.0)
-            }
-        };
-        base + tie_jitter(pi)
-    });
-    let (result, chosen) = graph.solve();
-    let stats = SolveStats {
-        passes: result.passes,
-        augmentations: result.augmentations,
-    };
-    (to_assignment(input, matrix, influences, &chosen), stats)
-}
-
-/// MTA: pure max-flow (Dinic), ignoring influence for the choice but still
-/// reporting the influence of whatever it picked (the evaluation metrics
-/// need it).
-fn mta(input: &AssignInput<'_>, matrix: &EligibilityMatrix, influences: &[f64]) -> Assignment {
-    let n_workers = matrix.n_workers();
-    let n_tasks = matrix.n_tasks();
-    let source = 0usize;
-    let sink = n_workers + n_tasks + 1;
-    let mut dinic = Dinic::new(sink + 1);
-    for wi in 0..n_workers {
-        dinic.add_edge(source, 1 + wi, 1);
-    }
-    for ti in 0..n_tasks {
-        dinic.add_edge(1 + n_workers + ti, sink, 1);
-    }
-    let edge_ids: Vec<usize> = matrix
+    let (cols, costs): (Vec<u32>, Vec<i64>) = matrix
         .pairs()
         .iter()
-        .map(|p| {
-            dinic.add_edge(
-                1 + p.worker_idx as usize,
-                1 + n_workers + p.task_idx as usize,
-                1,
+        .zip(influences)
+        .enumerate()
+        .map(|(pi, (p, &inf))| {
+            let base = match model {
+                CostModel::Influence => 1.0 / (inf + 1.0),
+                CostModel::EntropyInfluence => (entropy[p.task_idx as usize] + 1.0) / (inf + 1.0),
+                CostModel::DistanceInfluence => {
+                    let worker = &input.instance.workers[p.worker_idx as usize];
+                    let f = 1.0 - (p.distance_km / worker.radius_km).min(1.0);
+                    1.0 / (f * inf + 1.0)
+                }
+            };
+            debug_assert!(base.is_finite() && base >= 0.0, "bad pair cost {base}");
+            (
+                p.task_idx,
+                (base / COST_UNIT).round() as i64 + tie_jitter(pi),
             )
         })
-        .collect();
-    dinic.max_flow(source, sink);
+        .unzip();
+    let problem = SparseCosts {
+        offsets: matrix.offsets(),
+        cols: &cols,
+        costs: &costs,
+        n_cols: matrix.n_tasks(),
+    };
+    let solved = lap::solve(&problem);
+    debug_assert_eq!(lap::verify(&problem, &solved), Ok(()));
+    let stats = SolveStats {
+        passes: matrix.n_workers(),
+        augmentations: solved.augmentations,
+    };
+    let chosen = solved.row_entry.iter().flatten().map(|&pi| pi as usize);
+    (to_assignment(input, matrix, influences, chosen), stats)
+}
 
-    let chosen: Vec<(u32, u32)> = matrix
-        .pairs()
-        .iter()
-        .zip(edge_ids.iter())
-        .filter(|(_, &id)| dinic.flow_on(id) > 0)
-        .map(|(p, _)| (p.worker_idx, p.task_idx))
-        .collect();
-    to_assignment(input, matrix, influences, &chosen)
+/// MTA: a maximum matching (Hopcroft–Karp on the eligibility CSR),
+/// ignoring influence for the choice but still reporting the influence
+/// of whatever it picked (the evaluation metrics need it).
+fn mta(input: &AssignInput<'_>, matrix: &EligibilityMatrix, influences: &[f64]) -> Assignment {
+    let mut hk = HopcroftKarp::new(matrix.n_workers(), matrix.n_tasks());
+    for p in matrix.pairs() {
+        hk.add_edge(p.worker_idx as usize, p.task_idx as usize);
+    }
+    let (_, mates) = hk.solve();
+    // Rows are in ascending task order, so the mate's pair is found by
+    // binary search within the worker's row.
+    let chosen = mates.iter().enumerate().filter_map(|(w, mate)| {
+        let task = (*mate)?;
+        let lo = matrix.offsets()[w] as usize;
+        let at = matrix
+            .of_worker(w)
+            .binary_search_by_key(&task, |p| p.task_idx)
+            .expect("a matched task is eligible");
+        Some(lo + at)
+    });
+    to_assignment(input, matrix, influences, chosen)
 }
 
 /// MI: step 1 collects the candidate workers of every task (the
@@ -384,9 +376,9 @@ fn mi(input: &AssignInput<'_>, matrix: &EligibilityMatrix, influences: &[f64]) -
         }
         worker_used[p.worker_idx as usize] = true;
         task_used[p.task_idx as usize] = true;
-        chosen.push((p.worker_idx, p.task_idx));
+        chosen.push(pi);
     }
-    to_assignment(input, matrix, influences, &chosen)
+    to_assignment(input, matrix, influences, chosen)
 }
 
 /// Nearest-worker greedy from the running example: tasks in id order,
@@ -413,12 +405,11 @@ fn greedy_nearest(
                     .total_cmp(&matrix.pairs()[b].distance_km)
             });
         if let Some(&pi) = best {
-            let p = &matrix.pairs()[pi];
-            worker_used[p.worker_idx as usize] = true;
-            chosen.push((p.worker_idx, p.task_idx));
+            worker_used[matrix.pairs()[pi].worker_idx as usize] = true;
+            chosen.push(pi);
         }
     }
-    to_assignment(input, matrix, influences, &chosen)
+    to_assignment(input, matrix, influences, chosen)
 }
 
 #[cfg(test)]
@@ -487,8 +478,8 @@ mod tests {
 
     #[test]
     fn ia_beats_mta_when_one_task_is_contested() {
-        // One task, two workers: MTA (Dinic) grabs the first augmenting
-        // path (w0); IA must route the flow through the influential w1.
+        // One task, two workers: MTA (Hopcroft–Karp) takes the first
+        // free worker in row order (w0); IA must pick the influential w1.
         let inst = Instance::new(
             TimeInstant::at(0, 0),
             vec![worker(0, 1.0, 100.0), worker(1, 2.0, 100.0)],
@@ -506,11 +497,10 @@ mod tests {
 
     #[test]
     fn mta_tie_break_takes_first_augmenting_path() {
-        // Pins the Dinic augmenting order documented above: with both
-        // workers eligible for the one task, MTA deterministically
-        // assigns w0 (the first augmenting path in pair order). The
-        // MCMF solver changes must not disturb the max-flow baseline's
-        // output — replay traces and figure sweeps depend on it.
+        // Pins the Hopcroft–Karp search order: with both workers
+        // eligible for the one task, MTA deterministically assigns w0
+        // (the first free row to reach it). Replay traces and figure
+        // sweeps depend on the baseline being deterministic.
         let inst = Instance::new(
             TimeInstant::at(0, 0),
             vec![worker(0, 1.0, 100.0), worker(1, 2.0, 100.0)],
@@ -696,20 +686,21 @@ mod tests {
     }
 
     /// Every max-cardinality matching of `matrix` on the zero-influence
-    /// plateau, with its exact cost `Σ (1 + tie_jitter(pi))` — what
+    /// plateau, with its exact cost `Σ (2³⁷ + tie_jitter(pi))` — what
     /// [`mcmf_assign`] gives each pair under [`CostModel::Influence`].
     /// Matchings are sorted `(worker_idx, task_idx)` lists.
-    fn plateau_max_matchings(matrix: &EligibilityMatrix) -> Vec<(f64, Vec<(u32, u32)>)> {
+    fn plateau_max_matchings(matrix: &EligibilityMatrix) -> Vec<(i64, Vec<(u32, u32)>)> {
         fn extend(
             matrix: &EligibilityMatrix,
             rows: &[Vec<usize>],
             w: usize,
             task_used: &mut [bool],
             picked: &mut Vec<usize>,
-            out: &mut Vec<(f64, Vec<(u32, u32)>)>,
+            out: &mut Vec<(i64, Vec<(u32, u32)>)>,
         ) {
             if w == rows.len() {
-                let cost = picked.iter().map(|&pi| 1.0 + tie_jitter(pi)).sum();
+                let unit = (1.0 / COST_UNIT) as i64;
+                let cost = picked.iter().map(|&pi| unit + tie_jitter(pi)).sum();
                 let mut pairs: Vec<(u32, u32)> = picked
                     .iter()
                     .map(|&pi| (matrix.pairs()[pi].worker_idx, matrix.pairs()[pi].task_idx))
@@ -744,8 +735,7 @@ mod tests {
 
     #[test]
     fn tie_jitter_makes_the_plateau_optimum_unique() {
-        // Plateau sums are dyadic (`1 + k·2⁻³⁷`, `k < 2¹⁹`, at most six
-        // terms), so they are exact in `f64` and `==` is the right test.
+        // Costs are exact integers, so `==` is the right test.
         use rand::rngs::SmallRng;
         use rand::{RngExt, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(12);
@@ -770,10 +760,7 @@ mod tests {
         for (case, inst) in instances.iter().enumerate() {
             let matrix = EligibilityMatrix::build(inst);
             let matchings = plateau_max_matchings(&matrix);
-            let min = matchings
-                .iter()
-                .map(|&(c, _)| c)
-                .fold(f64::INFINITY, f64::min);
+            let min = matchings.iter().map(|&(c, _)| c).min().unwrap();
             let optimal: Vec<&Vec<(u32, u32)>> = matchings
                 .iter()
                 .filter(|&&(c, _)| c == min)

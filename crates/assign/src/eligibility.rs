@@ -243,6 +243,13 @@ impl EligibilityMatrix {
     pub fn pairs(&self) -> &[EligiblePair] {
         &self.pairs
     }
+
+    /// CSR row starts into [`EligibilityMatrix::pairs`], one per worker
+    /// plus the end: worker `w`'s pairs are `offsets[w]..offsets[w + 1]`.
+    #[inline]
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
 }
 
 #[cfg(test)]

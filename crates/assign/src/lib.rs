@@ -5,15 +5,21 @@
 //!
 //! | Algorithm | Objective encoding | Paper |
 //! |---|---|---|
-//! | [`AlgorithmKind::Mta`] | max-flow only (influence-agnostic) | baseline (GeoCrowd) |
-//! | [`AlgorithmKind::Ia`]  | MCMF, edge cost `1/(if+1)` | IV-A |
-//! | [`AlgorithmKind::Eia`] | MCMF, edge cost `(s.e+1)/(if+1)` | IV-B |
-//! | [`AlgorithmKind::Dia`] | MCMF, edge cost `1/(F·if+1)` | IV-C |
+//! | [`AlgorithmKind::Mta`] | maximum matching only (influence-agnostic) | baseline (GeoCrowd) |
+//! | [`AlgorithmKind::Ia`]  | most tasks, then min Σ `1/(if+1)` | IV-A |
+//! | [`AlgorithmKind::Eia`] | most tasks, then min Σ `(s.e+1)/(if+1)` | IV-B |
+//! | [`AlgorithmKind::Dia`] | most tasks, then min Σ `1/(F·if+1)` | IV-C |
 //! | [`AlgorithmKind::Mi`]  | greedy max total influence (two-step) | baseline |
 //! | [`AlgorithmKind::GreedyNearest`] | nearest free worker | Fig. 1 |
 //!
 //! The influence values `if(w, s)` come from an [`InfluenceOracle`] —
 //! `sc-core` provides the full DITA oracle; tests use closures.
+//!
+//! IA/EIA/DIA solve the paper's min-cost max-flow objective as a
+//! sparse assignment problem straight on the [`EligibilityMatrix`]
+//! CSR ([`sc_graph::lap`]): workers are rows, tasks columns, and pair
+//! costs exact `i64`s on a `2⁻³⁷` lattice with a per-pair tie-break.
+//! MTA runs Hopcroft–Karp on the same CSR.
 //!
 //! ## Intra-instance parallelism
 //!
@@ -26,7 +32,7 @@
 //! pair-influence scan splits the pair range. Both merge in index
 //! order, so assignments are **bit-identical at any thread count** —
 //! the same contract as `sc-influence`'s sharded RRR sampling. The
-//! combinatorial solve (max-flow / MCMF / greedy) stays sequential;
+//! combinatorial solve (matching / assignment / greedy) stays sequential;
 //! only the embarrassingly parallel scoring work fans out.
 //!
 //! ## Incremental rounds
@@ -47,7 +53,6 @@
 pub mod algorithms;
 pub mod delta;
 pub mod eligibility;
-pub mod graph;
 pub mod oracle;
 
 pub use algorithms::{
@@ -56,5 +61,4 @@ pub use algorithms::{
 };
 pub use delta::{DeltaStats, EligibilityState};
 pub use eligibility::{EligibilityMatrix, EligiblePair};
-pub use graph::AssignmentGraph;
 pub use oracle::{InfluenceFn, InfluenceOracle, ZeroInfluence};

@@ -2,15 +2,12 @@
 //!
 //! * `rrr_pool_vs_perworker` — one shared RRR pool versus re-running
 //!   Algorithm 1's sampling for every source worker.
-//! * `mcmf_cost_repr` — raw `f64` costs versus integer-quantized costs
-//!   (quantization changes relaxation patterns and tie behaviour).
 //! * `grid_cell_size` — eligibility query cost versus grid granularity.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 use sc_datagen::{generate_social_edges, DatasetProfile, InstanceOptions, SyntheticDataset};
-use sc_graph::MinCostMaxFlow;
 use sc_influence::{PropagationModel, RrrPool, SocialNetwork};
 use sc_spatial::GridIndex;
 use sc_types::Location;
@@ -58,61 +55,6 @@ fn bench_rrr_pool_vs_perworker(c: &mut Criterion) {
     group.finish();
 }
 
-fn assignment_edges(n: usize, degree: usize, seed: u64) -> Vec<(usize, usize, f64)> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n)
-        .flat_map(|w| {
-            let mut rng2 = SmallRng::seed_from_u64(seed ^ (w as u64) << 17);
-            (0..degree)
-                .map(move |_| {
-                    (
-                        w,
-                        rng2.random_range(0..n),
-                        1.0 / (rng2.random::<f64>() * 4.0 + 1.0),
-                    )
-                })
-                .collect::<Vec<_>>()
-        })
-        .inspect(|_| {
-            let _ = rng.random::<u8>();
-        })
-        .collect()
-}
-
-fn solve(n: usize, edges: &[(usize, usize, f64)], quantize: bool) -> f64 {
-    let (s, t) = (2 * n, 2 * n + 1);
-    let mut g = MinCostMaxFlow::new(2 * n + 2);
-    for w in 0..n {
-        g.add_edge(s, w, 1, 0.0);
-    }
-    for task in 0..n {
-        g.add_edge(n + task, t, 1, 0.0);
-    }
-    for &(w, task, cost) in edges {
-        let cost = if quantize {
-            (cost * 10_000.0).round() / 10_000.0
-        } else {
-            cost
-        };
-        g.add_edge(w, n + task, 1, cost);
-    }
-    g.run(s, t).cost
-}
-
-fn bench_mcmf_cost_repr(c: &mut Criterion) {
-    let n = 150;
-    let edges = assignment_edges(n, 8, 9);
-    let mut group = c.benchmark_group("mcmf_cost_repr");
-    group.sample_size(10);
-    group.bench_function("f64_raw", |b| {
-        b.iter(|| black_box(solve(n, &edges, false)));
-    });
-    group.bench_function("quantized_1e4", |b| {
-        b.iter(|| black_box(solve(n, &edges, true)));
-    });
-    group.finish();
-}
-
 fn bench_grid_cell_size(c: &mut Criterion) {
     let data = SyntheticDataset::generate(&DatasetProfile::brightkite_small(), 31);
     let day = data.instance_for_day(0, 300, 200, InstanceOptions::default());
@@ -134,10 +76,5 @@ fn bench_grid_cell_size(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_rrr_pool_vs_perworker,
-    bench_mcmf_cost_repr,
-    bench_grid_cell_size
-);
+criterion_group!(benches, bench_rrr_pool_vs_perworker, bench_grid_cell_size);
 criterion_main!(benches);

@@ -63,7 +63,7 @@ struct Script {
 }
 
 /// Worker radius. A city-scale 5 km keeps the eligible-pair count (and
-/// with it the *sequential* MCMF solve) small relative to the scoring
+/// with it the *sequential* assignment solve) small relative to the scoring
 /// passes, so the grid isolates what it is about: what the cache +
 /// delta reuse saves per round.
 const RADIUS_KM: f64 = 5.0;

@@ -11,7 +11,7 @@
 //! (minutes instead of hours). Each binary prints the series as aligned
 //! tables and writes a CSV next to the repository root under `results/`.
 //!
-//! Criterion micro-benches live in `benches/` (MCMF, RRR/RPO, LDA,
+//! Criterion micro-benches live in `benches/` (assignment solvers, RRR/RPO, LDA,
 //! willingness, end-to-end assignment, plus the ablation benches listed
 //! in `DESIGN.md`).
 

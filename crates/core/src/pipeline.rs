@@ -156,7 +156,7 @@ pub struct RoundPerf {
     pub warm_ms: f64, // lint: timing
     /// The sharded pair scan (influence scoring).
     pub score_ms: f64, // lint: timing
-    /// The assignment solve (MCMF / greedy).
+    /// The assignment solve (assignment solver / matching / greedy).
     pub solve_ms: f64, // lint: timing
     /// Distinct task-content keys already resident at warm time.
     pub cache_hits: usize,
@@ -164,12 +164,12 @@ pub struct RoundPerf {
     pub cache_misses: usize,
     /// Cache entries resident after warming.
     pub cache_entries: usize,
-    /// Shortest-path search passes the MCMF solve ran (0 for non-flow
-    /// algorithms). Engine-dependent — batching collapses passes — so
-    /// report equality must never compare it.
+    /// Shortest-augmenting-path searches the IA/EIA/DIA solve ran, one
+    /// per worker row (0 for the other algorithms). Solver telemetry,
+    /// so report equality must never compare it.
     pub solve_passes: usize,
-    /// Augmenting paths the MCMF solve committed (0 for non-flow
-    /// algorithms). Engine-dependent like `solve_passes`.
+    /// Searches that grew the matching, one per assigned task (0 for
+    /// the other algorithms). Telemetry like `solve_passes`.
     pub solve_augmentations: usize,
     /// Eligibility-delta shape (zeroed on the rebuild path).
     pub delta: DeltaStats,

@@ -8,25 +8,25 @@
 //!   [reverse](CsrGraph::reverse) relentlessly, so adjacency is flat and
 //!   cache-friendly.
 //! * [`traverse`] — BFS/DFS/weakly-connected components.
-//! * [`Dinic`] — max-flow for the influence-agnostic MTA baseline.
-//! * [`MinCostMaxFlow`] — successive-shortest-path min-cost max-flow with
-//!   `f64` costs; the IA/EIA/DIA algorithms of paper Section IV reduce
-//!   their assignment instances to this solver (the paper's
-//!   Ford–Fulkerson + LP step computes the same optimum).
-//! * [`HopcroftKarp`] — maximum bipartite matching, used as an
-//!   independent cross-check of the flow-based cardinality.
+//! * [`lap`] — sparse shortest-augmenting-path assignment on exact
+//!   integer costs; the IA/EIA/DIA algorithms of paper Section IV solve
+//!   their "most tasks, then least cost" instances with it (the
+//!   paper's Ford–Fulkerson + LP step computes the same optimum), and
+//!   [`lap::verify`] certifies each solution by integer duality.
+//! * [`HopcroftKarp`] — maximum bipartite matching: the MTA baseline's
+//!   solver and an independent cardinality cross-check.
+//! * [`Dinic`] — max-flow, kept as a cardinality oracle for tests.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 #![forbid(unsafe_code)]
 
 pub mod csr;
+pub mod lap;
 pub mod matching;
 pub mod maxflow;
-pub mod mcmf;
 pub mod traverse;
 
 pub use csr::{CsrBuilder, CsrGraph};
 pub use matching::HopcroftKarp;
 pub use maxflow::Dinic;
-pub use mcmf::{verify, CertificateError, FlowResult, MinCostMaxFlow};

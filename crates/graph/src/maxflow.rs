@@ -1,8 +1,10 @@
 //! Dinic's max-flow algorithm.
 //!
-//! The MTA baseline (Kazemi & Shahabi's maximum task assignment) only
-//! needs the maximum flow of the assignment graph, not costs, so it uses
-//! this solver; the influence-aware algorithms use [`crate::MinCostMaxFlow`].
+//! The maximum flow of a unit-capacity assignment network is the
+//! maximum number of assignable tasks. The test suites use this solver
+//! as an independent cardinality oracle for [`crate::HopcroftKarp`]
+//! (the MTA baseline's solver) and [`crate::lap`] (the influence-aware
+//! algorithms').
 
 use std::collections::VecDeque;
 

@@ -1,25 +1,28 @@
-//! Property tests tying the three flow/matching solvers together on
-//! random bipartite assignment-shaped instances:
+//! Property tests tying the three matching solvers together on random
+//! bipartite assignment-shaped instances:
 //!
 //! * Dinic max-flow == Hopcroft–Karp matching size (same cardinality).
-//! * MCMF flow == Dinic flow (max-flow priority is preserved).
-//! * MCMF cost <= cost of any greedy matching with the same cardinality
-//!   found by a simple exhaustive search on tiny instances.
+//! * Assignment (`lap`) cardinality == both of them (the most tasks
+//!   come first).
+//! * Assignment cost == the cheapest maximum matching found by
+//!   exhaustive search on tiny instances.
 
 use proptest::prelude::*;
-use sc_graph::{Dinic, HopcroftKarp, MinCostMaxFlow};
+use sc_graph::lap::{self, SparseCosts};
+use sc_graph::{Dinic, HopcroftKarp};
 
 #[derive(Debug, Clone)]
 struct BipartiteCase {
     n_left: usize,
     n_right: usize,
-    edges: Vec<(usize, usize, f64)>,
+    /// Sorted by left vertex.
+    edges: Vec<(usize, usize, i64)>,
 }
 
 fn bipartite_case(max_side: usize) -> impl Strategy<Value = BipartiteCase> {
     (1..=max_side, 1..=max_side)
         .prop_flat_map(|(nl, nr)| {
-            let edge = (0..nl, 0..nr, 1u32..1000).prop_map(|(l, r, c)| (l, r, c as f64 / 100.0));
+            let edge = (0..nl, 0..nr, 1i64..1000).prop_map(|(l, r, c)| (l, r, c));
             (
                 Just(nl),
                 Just(nr),
@@ -53,21 +56,26 @@ fn dinic_flow(case: &BipartiteCase) -> i64 {
     g.max_flow(s, t)
 }
 
-fn mcmf_run(case: &BipartiteCase) -> (i64, f64) {
-    let n = case.n_left + case.n_right + 2;
-    let (s, t) = (n - 2, n - 1);
-    let mut g = MinCostMaxFlow::new(n);
+/// `(assigned, cost)` of the assignment solver, certificate checked.
+fn lap_run(case: &BipartiteCase) -> (usize, i64) {
+    let mut offsets = vec![0u32; case.n_left + 1];
+    for &(l, _, _) in &case.edges {
+        offsets[l + 1] += 1;
+    }
     for l in 0..case.n_left {
-        g.add_edge(s, l, 1, 0.0);
+        offsets[l + 1] += offsets[l];
     }
-    for r in 0..case.n_right {
-        g.add_edge(case.n_left + r, t, 1, 0.0);
-    }
-    for &(l, r, c) in &case.edges {
-        g.add_edge(l, case.n_left + r, 1, c);
-    }
-    let res = g.run(s, t);
-    (res.flow, res.cost)
+    let cols: Vec<u32> = case.edges.iter().map(|&(_, r, _)| r as u32).collect();
+    let costs: Vec<i64> = case.edges.iter().map(|&(_, _, c)| c).collect();
+    let problem = SparseCosts {
+        offsets: &offsets,
+        cols: &cols,
+        costs: &costs,
+        n_cols: case.n_right,
+    };
+    let sol = lap::solve(&problem);
+    lap::verify(&problem, &sol).unwrap_or_else(|e| panic!("certificate: {e}"));
+    (sol.assigned, sol.cost)
 }
 
 fn hk_size(case: &BipartiteCase) -> usize {
@@ -80,15 +88,15 @@ fn hk_size(case: &BipartiteCase) -> usize {
 
 /// Exhaustively finds the min-cost matching of maximum cardinality on a
 /// tiny instance (reference oracle).
-fn brute_force(case: &BipartiteCase) -> (usize, f64) {
+fn brute_force(case: &BipartiteCase) -> (usize, i64) {
     fn recurse(
-        edges: &[(usize, usize, f64)],
+        edges: &[(usize, usize, i64)],
         i: usize,
         used_l: &mut Vec<bool>,
         used_r: &mut Vec<bool>,
         size: usize,
-        cost: f64,
-        best: &mut (usize, f64),
+        cost: i64,
+        best: &mut (usize, i64),
     ) {
         if i == edges.len() {
             if size > best.0 || (size == best.0 && cost < best.1) {
@@ -108,14 +116,14 @@ fn brute_force(case: &BipartiteCase) -> (usize, f64) {
             used_r[r] = false;
         }
     }
-    let mut best = (0usize, 0.0f64);
+    let mut best = (0usize, 0i64);
     recurse(
         &case.edges,
         0,
         &mut vec![false; case.n_left],
         &mut vec![false; case.n_right],
         0,
-        0.0,
+        0,
         &mut best,
     );
     best
@@ -130,19 +138,16 @@ proptest! {
     }
 
     #[test]
-    fn mcmf_flow_equals_dinic(case in bipartite_case(7)) {
-        let (flow, _) = mcmf_run(&case);
-        prop_assert_eq!(flow, dinic_flow(&case));
+    fn lap_cardinality_equals_dinic_and_hopcroft_karp(case in bipartite_case(7)) {
+        let (assigned, _) = lap_run(&case);
+        prop_assert_eq!(assigned as i64, dinic_flow(&case));
+        prop_assert_eq!(assigned, hk_size(&case));
     }
 
     #[test]
-    fn mcmf_matches_bruteforce_optimum(case in bipartite_case(4)) {
+    fn lap_matches_bruteforce_optimum(case in bipartite_case(4)) {
         // Keep the instance tiny; brute force is exponential in edges.
         prop_assume!(case.edges.len() <= 10);
-        let (flow, cost) = mcmf_run(&case);
-        let (best_size, best_cost) = brute_force(&case);
-        prop_assert_eq!(flow as usize, best_size);
-        prop_assert!((cost - best_cost).abs() < 1e-6,
-            "cost {} vs brute-force {}", cost, best_cost);
+        prop_assert_eq!(lap_run(&case), brute_force(&case));
     }
 }

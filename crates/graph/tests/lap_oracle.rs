@@ -1,47 +1,45 @@
-//! Exact-oracle differential suite for the MCMF solver.
+//! Exact-oracle differential suite for the assignment solver.
 //!
 //! A bitmask dynamic program computes the *provably optimal*
-//! (max-cardinality, then min-cost) assignment for unit-capacity
-//! bipartite instances up to 8×8 — small enough for `O(T · 2^W · W)`
-//! exhaustion, large enough to exercise multi-pass augmentation,
-//! contested workers, and tie plateaus. [`MinCostMaxFlow`] must
-//! reproduce the oracle's `(flow, cost)` exactly and pass the
-//! [`verify`] flow certificate after solving.
+//! (max-cardinality, then min-cost) assignment for bipartite instances
+//! up to 8×8 — small enough for `O(T · 2^W · W)` exhaustion, large
+//! enough to exercise displacement chains, contested workers, and tie
+//! plateaus. [`lap::solve`] must reproduce the oracle's
+//! `(assigned, cost)` exactly and pass the [`lap::verify`] dual
+//! certificate after every solve.
 
 use proptest::prelude::*;
-use sc_graph::{verify, FlowResult, MinCostMaxFlow};
+use sc_graph::lap::{self, Matching, SparseCosts};
 
-/// A unit-capacity bipartite assignment instance: `workers` on the
-/// left, `tasks` on the right, eligible pairs with non-negative costs.
+/// A bipartite assignment instance: `workers` (rows) on the left,
+/// `tasks` (columns) on the right, eligible pairs with non-negative
+/// integer costs, sorted by worker.
 #[derive(Debug, Clone)]
 struct Instance {
     workers: usize,
     tasks: usize,
-    edges: Vec<(usize, usize, f64)>,
+    edges: Vec<(usize, usize, i64)>,
 }
 
 impl Instance {
-    /// Node layout shared by every solve: source, workers, tasks, sink.
-    fn network(&self) -> (MinCostMaxFlow, usize, usize) {
-        let n = self.workers + self.tasks + 2;
-        let (s, t) = (0, n - 1);
-        let mut g = MinCostMaxFlow::new(n);
+    /// The CSR parts `(offsets, cols, costs)` of the instance.
+    fn csr(&self) -> (Vec<u32>, Vec<u32>, Vec<i64>) {
+        let mut offsets = vec![0u32; self.workers + 1];
+        for &(w, _, _) in &self.edges {
+            offsets[w + 1] += 1;
+        }
         for w in 0..self.workers {
-            g.add_edge(s, 1 + w, 1, 0.0);
+            offsets[w + 1] += offsets[w];
         }
-        for task in 0..self.tasks {
-            g.add_edge(1 + self.workers + task, t, 1, 0.0);
-        }
-        for &(w, task, c) in &self.edges {
-            g.add_edge(1 + w, 1 + self.workers + task, 1, c);
-        }
-        (g, s, t)
+        let cols = self.edges.iter().map(|&(_, t, _)| t as u32).collect();
+        let costs = self.edges.iter().map(|&(_, _, c)| c).collect();
+        (offsets, cols, costs)
     }
 
     /// Exact oracle: max assigned tasks, then min total cost, by
     /// bitmask DP over `(task index, used-worker set)`. Requires
     /// `workers <= 8`.
-    fn oracle(&self) -> (i64, f64) {
+    fn oracle(&self) -> (usize, i64) {
         assert!(self.workers <= 8 && self.tasks <= 8, "oracle is for <= 8x8");
         // eligible[task] lists (worker, cost) pairs.
         let mut eligible = vec![Vec::new(); self.tasks];
@@ -51,7 +49,7 @@ impl Instance {
         let full = 1usize << self.workers;
         // dp[mask] = best (count, cost) over the tasks decided so far
         // with exactly the workers in `mask` used. (-1, inf) = unreachable.
-        let better = |a: (i64, f64), b: (i64, f64)| -> (i64, f64) {
+        let better = |a: (i64, i64), b: (i64, i64)| -> (i64, i64) {
             if a.0 != b.0 {
                 if a.0 > b.0 {
                     a
@@ -64,10 +62,10 @@ impl Instance {
                 b
             }
         };
-        let mut dp = vec![(-1i64, f64::INFINITY); full];
-        dp[0] = (0, 0.0);
+        let mut dp = vec![(-1i64, i64::MAX); full];
+        dp[0] = (0, 0);
         for workers in &eligible {
-            let mut next = vec![(-1i64, f64::INFINITY); full];
+            let mut next = vec![(-1i64, i64::MAX); full];
             for mask in 0..full {
                 let (count, cost) = dp[mask];
                 if count < 0 {
@@ -85,45 +83,47 @@ impl Instance {
             }
             dp = next;
         }
-        let mut best = (0i64, 0.0f64);
+        let mut best = (0i64, 0i64);
         for &state in &dp {
             if state.0 >= 0 {
                 best = better(best, state);
             }
         }
-        best
+        (best.0 as usize, best.1)
     }
 }
 
-fn solve(inst: &Instance) -> FlowResult {
-    let (mut g, s, t) = inst.network();
-    let r = g.run(s, t);
-    verify(&g, s, t, &r, 1e-9).unwrap_or_else(|e| panic!("flow certificate failed: {e}"));
-    r
+/// Solves `inst` and checks the dual certificate.
+fn solve(inst: &Instance) -> Matching {
+    let (offsets, cols, costs) = inst.csr();
+    let problem = SparseCosts {
+        offsets: &offsets,
+        cols: &cols,
+        costs: &costs,
+        n_cols: inst.tasks,
+    };
+    let sol = lap::solve(&problem);
+    lap::verify(&problem, &sol).unwrap_or_else(|e| panic!("certificate failed: {e} on {inst:?}"));
+    sol
 }
 
 fn assert_matches_oracle(inst: &Instance) {
-    let (want_flow, want_cost) = inst.oracle();
-    let r = solve(inst);
+    let want = inst.oracle();
+    let sol = solve(inst);
     assert_eq!(
-        r.flow, want_flow,
-        "flow {} vs oracle {want_flow} on {inst:?}",
-        r.flow
-    );
-    assert!(
-        (r.cost - want_cost).abs() < 1e-6,
-        "cost {} vs oracle {want_cost} on {inst:?}",
-        r.cost
+        (sol.assigned, sol.cost),
+        want,
+        "solver vs oracle on {inst:?}"
     );
 }
 
-/// Strategy: random unit-capacity bipartite network, ≤ `max_side` per
-/// side, distinct pairs, costs drawn from a lattice that manufactures
+/// Strategy: random bipartite instance, ≤ `max_side` per side,
+/// distinct pairs, costs drawn from a small range that manufactures
 /// exact ties (the hard case for a deterministic solver).
 fn instance(max_side: usize) -> impl Strategy<Value = Instance> {
     (1..=max_side, 1..=max_side)
         .prop_flat_map(|(nw, nt)| {
-            let edge = (0..nw, 0..nt, 1u32..40).prop_map(|(w, t, c)| (w, t, c as f64 / 8.0));
+            let edge = (0..nw, 0..nt, 1i64..40).prop_map(|(w, t, c)| (w, t, c));
             (
                 Just(nw),
                 Just(nt),
@@ -144,7 +144,7 @@ fn instance(max_side: usize) -> impl Strategy<Value = Instance> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The solver reproduces the oracle's (flow, cost) on random
+    /// The solver reproduces the oracle's (assigned, cost) on random
     /// 8×8-or-smaller instances, and every solve passes the
     /// certificate checker.
     #[test]
@@ -159,31 +159,34 @@ proptest! {
 #[test]
 fn oracle_pinned_instances() {
     let cases = [
-        // 8x8 full plateau: every pair costs 1.0.
+        // 8x8 full plateau: every pair costs 8.
         Instance {
             workers: 8,
             tasks: 8,
             edges: (0..8)
-                .flat_map(|w| (0..8).map(move |t| (w, t, 1.0)))
+                .flat_map(|w| (0..8).map(move |t| (w, t, 8)))
                 .collect(),
         },
         // One contested task: both workers want task 0 cheaply.
         Instance {
             workers: 2,
             tasks: 2,
-            edges: vec![(0, 0, 0.1), (1, 0, 0.2), (0, 1, 0.9)],
+            edges: vec![(0, 0, 1), (0, 1, 9), (1, 0, 2)],
         },
-        // Chain forcing residual (reverse-edge) augmentation.
+        // A staircase: each worker's cheap task is the next one's dear
+        // one.
         Instance {
             workers: 3,
             tasks: 3,
-            edges: vec![
-                (0, 0, 0.1),
-                (0, 1, 0.5),
-                (1, 1, 0.1),
-                (1, 2, 0.5),
-                (2, 2, 0.1),
-            ],
+            edges: vec![(0, 0, 1), (0, 1, 5), (1, 1, 1), (1, 2, 5), (2, 2, 1)],
+        },
+        // More workers than tasks, all competing.
+        Instance {
+            workers: 5,
+            tasks: 2,
+            edges: (0..5)
+                .flat_map(|w| (0..2).map(move |t| (w, t, 1 + ((w * 3 + t * 7) % 5) as i64)))
+                .collect(),
         },
         // No edges at all.
         Instance {
@@ -205,9 +208,7 @@ fn oracle_hand_checks() {
     let inst = Instance {
         workers: 2,
         tasks: 2,
-        edges: vec![(0, 0, 0.1), (0, 1, 0.9), (1, 0, 0.2)],
+        edges: vec![(0, 0, 1), (0, 1, 9), (1, 0, 2)],
     };
-    let (flow, cost) = inst.oracle();
-    assert_eq!(flow, 2);
-    assert!((cost - 1.1).abs() < 1e-12);
+    assert_eq!(inst.oracle(), (2, 11));
 }

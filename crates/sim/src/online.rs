@@ -180,12 +180,11 @@ pub struct RoundReport {
     pub cache_hits: usize,
     /// Distinct task-content keys computed this round (excluded).
     pub cache_misses: usize,
-    /// Shortest-path search passes the MCMF solve ran, one per
-    /// augmentation plus the final no-path pass (excluded: solver
-    /// telemetry).
+    /// Shortest-augmenting-path searches the assignment solve ran, one
+    /// per worker row (excluded: solver telemetry).
     pub solve_passes: usize,
-    /// Augmenting paths the MCMF solve committed (excluded, like
-    /// `solve_passes`).
+    /// Searches that grew the matching, one per assigned task
+    /// (excluded, like `solve_passes`).
     pub solve_augmentations: usize,
     /// Worker rows carried by the eligibility delta (excluded).
     pub elig_rows_carried: usize,
