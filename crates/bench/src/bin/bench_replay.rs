@@ -150,7 +150,7 @@ fn main() {
     // --- Fold-in cost vs the full retrain it replaces. -----------------
     // Re-train on the slice, then time folding each late worker into a
     // fresh copy of the trained state — the exact work
-    // `OnlineEngine::worker_arrives_new` does per arrival.
+    // an `EventKind::WorkerNew` fold-in does per arrival.
     eprintln!("[bench_replay] measuring fold-in vs full retrain…");
     let slice = data.training_slice(day).expect("slice");
     let cfg = config(threads);

@@ -7,7 +7,7 @@
 
 use sc_stats::entropy_from_counts;
 use sc_types::{HistoryStore, VenueId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Precomputed location entropy per venue.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -18,8 +18,11 @@ pub struct LocationEntropy {
 impl LocationEntropy {
     /// Computes entropies for every venue appearing in the store.
     pub fn from_history(store: &HistoryStore) -> Self {
-        // venue -> worker -> visit count
-        let mut visits: HashMap<VenueId, HashMap<u32, u32>> = HashMap::new();
+        // venue -> worker -> visit count. The inner map is ordered so
+        // the entropy sum runs in worker-id order: a hash map's
+        // iteration order differs between map instances, and a float
+        // sum in a different order can differ in the last bit.
+        let mut visits: HashMap<VenueId, BTreeMap<u32, u32>> = HashMap::new();
         for (worker, history) in store.iter() {
             for record in history.records() {
                 *visits
@@ -150,5 +153,26 @@ mod tests {
         assert!((le.entropy_of(VenueId::new(1)) - (3.0f64).ln()).abs() < 1e-12);
         assert_eq!(le.n_venues(), 2);
         assert!((le.max_entropy() - (3.0f64).ln()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn entropy_sums_in_worker_order() {
+        // Eight visitors with distinct counts: a float sum over them in
+        // another order can land on a neighbouring f64, so every build
+        // of the table must sum in worker-id order, bit for bit.
+        let counts: Vec<u32> = (1..=8).map(|c| c * 3 % 11).collect();
+        let mut store = HistoryStore::with_workers(counts.len());
+        let mut t = 0;
+        for (w, &c) in counts.iter().enumerate() {
+            for _ in 0..c {
+                push(&mut store, w as u32, 5, t);
+                t += 1;
+            }
+        }
+        let expected = entropy_from_counts(&counts).to_bits();
+        for _ in 0..16 {
+            let le = LocationEntropy::from_history(&store);
+            assert_eq!(le.entropy_of(VenueId::new(5)).to_bits(), expected);
+        }
     }
 }

@@ -331,8 +331,9 @@ fn post_round(shared: &Shared, body: &str) -> (u16, String) {
 }
 
 /// `GET /report` — rounds served, lifetime summary, last round. Only
-/// deterministic fields travel (the wire forms of [`RoundReport`] and
-/// [`sc_sim::OnlineSummary`] exclude wall-clock and telemetry), so two
+/// deterministic fields travel (the wire form of [`RoundReport`]
+/// excludes wall-clock and telemetry, and [`sc_sim::OnlineSummary`]
+/// holds results only), so two
 /// engines that served the same event stream — e.g. an original and
 /// its restored snapshot — answer with byte-identical bodies.
 fn get_report(shared: &Shared) -> (u16, String) {

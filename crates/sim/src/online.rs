@@ -77,6 +77,7 @@ use sc_datagen::SyntheticDataset;
 use sc_influence::SocialNetwork;
 use sc_types::{Duration, History, Task, TaskId, TimeInstant, VenueId, Worker, WorkerId};
 use serde::json::Value;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -107,24 +108,6 @@ pub fn scripted_event(
             venue.categories.clone(),
         ),
         venue: venue.id,
-    }
-}
-
-/// Deprecated tuple form of [`scripted_event`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `scripted_event` and route it through `OnlineEngine::ingest`"
-)]
-pub fn scripted_arrival(
-    data: &SyntheticDataset,
-    seed: u64,
-    id: u32,
-    now: TimeInstant,
-    phi: f64,
-) -> (Task, VenueId) {
-    match scripted_event(data, seed, id, now, phi) {
-        EventKind::TaskArrival { task, venue } => (task, venue),
-        _ => unreachable!("scripted_event only scripts task arrivals"),
     }
 }
 
@@ -288,10 +271,11 @@ impl serde::Deserialize for RoundReport {
 /// Totals of an engine's lifetime, with the conservation invariant
 /// `published == assigned + expired + still_open`.
 ///
-/// Equality ignores the wall-clock field (`maintenance_ms`), mirroring
-/// [`RoundReport`], so summaries of two runs of the same arrival
-/// script compare equal across thread counts.
-#[derive(Debug, Clone)]
+/// Results only: no wall-clock field, so summaries of two runs of the
+/// same arrival script compare (and serialize) equal across thread
+/// counts. Per-round maintenance time lives on
+/// [`RoundReport::maintenance_ms`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OnlineSummary {
     /// Rounds executed.
     pub rounds: u64,
@@ -309,62 +293,6 @@ pub struct OnlineSummary {
     pub sets_added: usize,
     /// Total stale sets evicted by maintenance.
     pub sets_evicted: usize,
-    /// Total pool-maintenance wall time, milliseconds.
-    pub maintenance_ms: f64,
-}
-
-impl PartialEq for OnlineSummary {
-    fn eq(&self, other: &Self) -> bool {
-        self.rounds == other.rounds
-            && self.published == other.published
-            && self.assigned == other.assigned
-            && self.expired == other.expired
-            && self.still_open == other.still_open
-            && self.average_influence == other.average_influence
-            && self.sets_added == other.sets_added
-            && self.sets_evicted == other.sets_evicted
-        // maintenance_ms is a run condition, not a result.
-    }
-}
-
-/// Like [`RoundReport`], the wire form of a summary carries only the
-/// deterministic fields; `maintenance_ms` never reaches the wire and
-/// parses back as zero.
-impl serde::Serialize for OnlineSummary {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("rounds".to_string(), self.rounds.to_value()),
-            ("published".to_string(), self.published.to_value()),
-            ("assigned".to_string(), self.assigned.to_value()),
-            ("expired".to_string(), self.expired.to_value()),
-            ("still_open".to_string(), self.still_open.to_value()),
-            (
-                "average_influence".to_string(),
-                self.average_influence.to_value(),
-            ),
-            ("sets_added".to_string(), self.sets_added.to_value()),
-            ("sets_evicted".to_string(), self.sets_evicted.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for OnlineSummary {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let obj = value
-            .as_object()
-            .ok_or_else(|| serde::Error::expected("summary object", value))?;
-        Ok(OnlineSummary {
-            rounds: serde::get_field(obj, "rounds")?,
-            published: serde::get_field(obj, "published")?,
-            assigned: serde::get_field(obj, "assigned")?,
-            expired: serde::get_field(obj, "expired")?,
-            still_open: serde::get_field(obj, "still_open")?,
-            average_influence: serde::get_field(obj, "average_influence")?,
-            sets_added: serde::get_field(obj, "sets_added")?,
-            sets_evicted: serde::get_field(obj, "sets_evicted")?,
-            maintenance_ms: 0.0,
-        })
-    }
 }
 
 impl OnlineSummary {
@@ -425,8 +353,7 @@ impl NetworkMode<'_> {
 
 /// Builds an [`OnlineEngine`] from its two typed mode axes — how the
 /// pipeline is held ([`PipelineMode`]) and how the network is held
-/// ([`NetworkMode`]) — replacing the old
-/// `new`/`with_config`/`adaptive`/`frozen` constructor sprawl.
+/// ([`NetworkMode`]). It is the engine's only constructor.
 ///
 /// Unless overridden with [`EngineBuilder::config`], the maintenance
 /// configuration comes from the pipeline's trained
@@ -539,62 +466,15 @@ impl<'a> EngineBuilder<'a> {
     }
 }
 
-/// What happened to an arriving worker — superseded by the richer
-/// [`Outcome`] of the unified `apply(Event)` surface.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Outcome` from `OnlineEngine::apply`/`ingest` instead"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArrivalOutcome {
-    /// Newly online; the trained influence network knows the worker.
-    Joined,
-    /// Was already online; state (location, radius) refreshed in place.
-    Refreshed,
-    /// Outside the trained population; folded into the live influence
-    /// network ([`OnlineEngine::worker_arrives_new`]) — the worker
-    /// scores non-zero influence from this round on.
-    FoldedIn,
-    /// Outside the trained population and this engine cannot fold in
-    /// (frozen/borrowed, or no social evidence was provided): the
-    /// worker is **not** admitted. Admitting them would only ever
-    /// produce zero-influence assignments — the silent-dead-worker trap
-    /// this variant closes.
-    Rejected,
-}
-
-#[allow(deprecated)]
-impl ArrivalOutcome {
-    /// Whether the worker is online after the call.
-    pub fn is_online(self) -> bool {
-        !matches!(self, ArrivalOutcome::Rejected)
-    }
-
-    /// Whether the call added a worker that was not online before.
-    pub fn is_new(self) -> bool {
-        matches!(self, ArrivalOutcome::Joined | ArrivalOutcome::FoldedIn)
-    }
-
-    /// The [`Outcome`] this legacy value corresponds to (wrappers
-    /// translate in the other direction; this exists for callers mid-
-    /// migration).
-    pub fn from_outcome(outcome: Outcome) -> Self {
-        match outcome {
-            Outcome::WorkerJoined => ArrivalOutcome::Joined,
-            Outcome::WorkerRefreshed => ArrivalOutcome::Refreshed,
-            Outcome::WorkerFoldedIn => ArrivalOutcome::FoldedIn,
-            _ => ArrivalOutcome::Rejected,
-        }
-    }
-}
-
 /// A stateful online assignment engine owning a live [`DitaPipeline`].
 ///
-/// Create it from a trained pipeline and the social network it was
-/// trained on, feed arrivals, and call [`OnlineEngine::run_round`] at
-/// each time instance. See the module docs for the maintenance and
-/// determinism contracts. Drivers that never maintain the pool can
-/// borrow the pipeline instead via [`OnlineEngine::frozen`].
+/// Build it with [`EngineBuilder`] from a trained pipeline and the
+/// social network it was trained on, feed it events through
+/// [`OnlineEngine::apply`]/[`OnlineEngine::ingest`], and call
+/// [`OnlineEngine::run_round`] at each time instance. See the module
+/// docs for the maintenance and determinism contracts. Drivers that
+/// never maintain the pool can borrow the pipeline instead
+/// ([`PipelineMode::Frozen`]).
 #[derive(Debug)]
 pub struct OnlineEngine<'a> {
     pipeline: PipelineMode<'a>,
@@ -630,73 +510,9 @@ pub struct OnlineEngine<'a> {
     influence_sum: f64,
     sets_added_total: usize,
     sets_evicted_total: usize,
-    maintenance_ms_total: f64,
 }
 
 impl<'a> OnlineEngine<'a> {
-    /// Wraps a trained pipeline into an engine. The maintenance knobs
-    /// come from the pipeline's [`OnlineConfig`]
-    /// (`pipeline.model().config().online`); `net` must be the social
-    /// network the pipeline was trained on.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `EngineBuilder` with `PipelineMode::Owned` + `NetworkMode::Fixed`"
-    )]
-    pub fn new(pipeline: DitaPipeline, net: &'a SocialNetwork) -> Self {
-        EngineBuilder::new()
-            .pipeline(PipelineMode::Owned(Box::new(pipeline)))
-            .network(NetworkMode::Fixed(net))
-            .build()
-    }
-
-    /// Like `new` with an explicit maintenance configuration
-    /// (overrides the one trained into the pipeline).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `EngineBuilder` with `PipelineMode::Owned` + `NetworkMode::Fixed`"
-    )]
-    pub fn with_config(
-        pipeline: DitaPipeline,
-        net: &'a SocialNetwork,
-        config: OnlineConfig,
-    ) -> Self {
-        EngineBuilder::new()
-            .pipeline(PipelineMode::Owned(Box::new(pipeline)))
-            .network(NetworkMode::Fixed(net))
-            .config(config)
-            .build()
-    }
-
-    /// An engine that owns both its pipeline *and* its social network —
-    /// the dynamic-population mode.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `EngineBuilder` with `PipelineMode::Owned` + `NetworkMode::Adaptive`"
-    )]
-    pub fn adaptive(
-        pipeline: DitaPipeline,
-        net: SocialNetwork,
-        config: OnlineConfig,
-    ) -> OnlineEngine<'static> {
-        EngineBuilder::new()
-            .pipeline(PipelineMode::Owned(Box::new(pipeline)))
-            .network(NetworkMode::Adaptive(Box::new(net)))
-            .config(config)
-            .build()
-    }
-
-    /// A zero-copy engine borrowing a frozen pipeline.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `EngineBuilder` with `PipelineMode::Frozen` + `NetworkMode::Fixed`"
-    )]
-    pub fn frozen(pipeline: &'a DitaPipeline, net: &'a SocialNetwork) -> Self {
-        EngineBuilder::new()
-            .pipeline(PipelineMode::Frozen(pipeline))
-            .network(NetworkMode::Fixed(net))
-            .build()
-    }
-
     fn assemble(
         pipeline: PipelineMode<'a>,
         net: NetworkMode<'a>,
@@ -738,7 +554,6 @@ impl<'a> OnlineEngine<'a> {
             influence_sum: 0.0,
             sets_added_total: 0,
             sets_evicted_total: 0,
-            maintenance_ms_total: 0.0,
         }
     }
 
@@ -912,61 +727,6 @@ impl<'a> OnlineEngine<'a> {
         Outcome::WorkerDeparted
     }
 
-    /// Legacy form of [`EventKind::TaskArrival`](crate::EventKind) —
-    /// returns `true` iff the task was newly published.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ingest(EventKind::TaskArrival { .. })` (or `apply` with a stamped `Event`)"
-    )]
-    pub fn task_arrives(&mut self, task: Task, venue: VenueId) -> bool {
-        matches!(
-            self.ingest(EventKind::TaskArrival { task, venue }),
-            Outcome::TaskPublished
-        )
-    }
-
-    /// Legacy form of [`EventKind::WorkerArrival`](crate::EventKind).
-    #[allow(deprecated)]
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ingest(EventKind::WorkerArrival { .. })` (or `apply` with a stamped `Event`)"
-    )]
-    pub fn worker_arrives(&mut self, worker: Worker) -> ArrivalOutcome {
-        ArrivalOutcome::from_outcome(self.ingest(EventKind::WorkerArrival { worker }))
-    }
-
-    /// Legacy form of [`EventKind::WorkerNew`](crate::EventKind).
-    #[allow(deprecated)]
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ingest(EventKind::WorkerNew { .. })` (or `apply` with a stamped `Event`)"
-    )]
-    pub fn worker_arrives_new(
-        &mut self,
-        worker: Worker,
-        friends: &[WorkerId],
-        history: &History,
-    ) -> ArrivalOutcome {
-        ArrivalOutcome::from_outcome(self.ingest(EventKind::WorkerNew {
-            worker,
-            friends: friends.to_vec(),
-            history: history.clone(),
-        }))
-    }
-
-    /// Legacy form of [`EventKind::WorkerDeparture`](crate::EventKind)
-    /// — returns whether the worker was online.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ingest(EventKind::WorkerDeparture { .. })` (or `apply` with a stamped `Event`)"
-    )]
-    pub fn worker_departs(&mut self, id: WorkerId) -> bool {
-        matches!(
-            self.ingest(EventKind::WorkerDeparture { worker: id }),
-            Outcome::WorkerDeparted
-        )
-    }
-
     /// Rebuilds the id→index map after an order-preserving removal.
     fn reindex_workers(&mut self) {
         self.online_index = self
@@ -1095,7 +855,6 @@ impl<'a> OnlineEngine<'a> {
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         self.sets_evicted_total += evicted;
         self.sets_added_total += added;
-        self.maintenance_ms_total += ms;
         (evicted, added, ms)
     }
 
@@ -1186,7 +945,6 @@ impl<'a> OnlineEngine<'a> {
             },
             sets_added: self.sets_added_total,
             sets_evicted: self.sets_evicted_total,
-            maintenance_ms: self.maintenance_ms_total,
         }
     }
 }
@@ -1235,10 +993,6 @@ impl serde::Serialize for OnlineEngine<'_> {
                 "sets_evicted_total".to_string(),
                 self.sets_evicted_total.to_value(),
             ),
-            (
-                "maintenance_ms_total".to_string(),
-                self.maintenance_ms_total.to_value(),
-            ),
             ("pipeline".to_string(), self.pipeline.get().to_value()),
             ("network".to_string(), self.net.get().to_value()),
         ])
@@ -1275,7 +1029,6 @@ impl serde::Deserialize for OnlineEngine<'static> {
             influence_sum: serde::get_field(obj, "influence_sum")?,
             sets_added_total: serde::get_field(obj, "sets_added_total")?,
             sets_evicted_total: serde::get_field(obj, "sets_evicted_total")?,
-            maintenance_ms_total: serde::get_field(obj, "maintenance_ms_total")?,
         })
     }
 }
@@ -1839,34 +1592,6 @@ mod tests {
             }
             other => panic!("scripted_event must be a task arrival, got {other:?}"),
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_wrappers_translate_to_the_event_surface() {
-        // The deprecated method family must keep working mid-migration,
-        // returning the old vocabulary for the new outcomes.
-        let (dataset, pipeline) = setup(OnlineConfig::default());
-        let mut engine = OnlineEngine::new(pipeline, &dataset.social);
-        let base = dataset.instance_for_day(0, 0, 3, InstanceOptions::default());
-        let w = base.instance.workers[0].clone();
-        assert_eq!(engine.worker_arrives(w.clone()), ArrivalOutcome::Joined);
-        assert_eq!(engine.worker_arrives(w.clone()), ArrivalOutcome::Refreshed);
-        let ghost = Worker::new(WorkerId::new(10_000), sc_types::Location::ORIGIN, 25.0);
-        assert_eq!(engine.worker_arrives(ghost), ArrivalOutcome::Rejected);
-        let (t, v) = hourly_task(&dataset, 1, TimeInstant::at(0, 9), 3.0);
-        assert!(engine.task_arrives(t.clone(), v), "new task id");
-        assert!(!engine.task_arrives(t, v), "refresh is the old `false`");
-        assert!(engine.worker_departs(w.id));
-        assert!(!engine.worker_departs(w.id), "already gone");
-        assert_eq!(
-            ArrivalOutcome::from_outcome(Outcome::WorkerFoldedIn),
-            ArrivalOutcome::FoldedIn
-        );
-        assert_eq!(
-            ArrivalOutcome::from_outcome(Outcome::Rejected(RejectReason::UnknownWorker)),
-            ArrivalOutcome::Rejected
-        );
     }
 
     #[test]

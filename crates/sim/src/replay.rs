@@ -10,15 +10,20 @@
 //!    actually knows when the day opens);
 //! 2. **replay the day** — a [`ReplayStream`] turns the day's
 //!    check-ins into a deterministic timeline of worker arrivals, task
-//!    postings, departures, and round ticks, consumed round by round by
-//!    an [`OnlineEngine::adaptive`] engine;
+//!    postings, departures, and round ticks; a [`ReplayTranslator`]
+//!    turns each into an [`EventKind`], consumed round by round by an
+//!    engine built with [`NetworkMode::Adaptive`];
 //! 3. **fold in the unseen** — a worker whose first check-in falls on
-//!    the replay day is outside the trained population; the driver
-//!    assigns them the next dense id and folds them into the live
-//!    influence network ([`OnlineEngine::worker_arrives_new`]) with
-//!    their social edges (mapped onto already-known workers) and their
-//!    check-in evidence so far, so they earn non-zero influence without
-//!    a retrain.
+//!    the replay day is outside the trained population; the translator
+//!    offers them at the next dense id as an [`EventKind::WorkerNew`]
+//!    with their social edges (mapped onto already-known workers) and
+//!    their check-in evidence so far, and the engine folds them into the
+//!    live influence network, so they earn non-zero influence without a
+//!    retrain.
+//!
+//! `dita post-replay` posts the same translated events to a running
+//! `dita serve`, so a served replay of a trace matches the in-process
+//! one (`crates/serve/tests/wire_replay_parity.rs` pins it).
 //!
 //! Determinism: the stream carries no randomness and the engine's
 //! maintenance + scoring are bit-identical at any thread budget, so two
@@ -34,7 +39,7 @@ use crate::online::{
 use sc_assign::AlgorithmKind;
 use sc_core::{DitaBuilder, DitaConfig};
 use sc_datagen::{LoadedDataset, ReplayEvent, ReplayOptions, ReplayStream};
-use sc_types::{History, Worker, WorkerId};
+use sc_types::{History, Location, TimeInstant, Worker, WorkerId};
 use std::collections::HashMap;
 
 /// One replayed round: the engine's report plus the stream bookkeeping
@@ -47,13 +52,15 @@ pub struct ReplayRoundOutcome {
     pub checkins: usize,
     /// Workers folded into the live network this round.
     pub fold_ins: usize,
-    /// Arrivals rejected this round (no fold-in path).
+    /// First sightings the engine refused this round (no usable
+    /// friends yet).
     pub rejected: usize,
 }
 
-/// The outcome of one replayed day. Equality ignores wall-clock fields,
-/// mirroring [`RoundReport`]/[`OnlineSummary`], so reports from runs at
-/// different thread budgets compare byte-for-byte.
+/// The outcome of one replayed day. Equality follows [`RoundReport`]
+/// (which ignores its timing and telemetry fields) and the results-only
+/// [`OnlineSummary`], so reports from runs at different thread budgets
+/// compare equal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayReport {
     /// The replayed day index.
@@ -87,6 +94,137 @@ pub struct ReplayRun {
     pub engine: OnlineEngine<'static>,
 }
 
+/// One [`ReplayEvent`] translated into the engine's vocabulary.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Translated {
+    /// The event to ingest (in process) or to post (`dita serve`).
+    pub kind: EventKind,
+    /// On a first sighting ([`EventKind::WorkerNew`]): whether the
+    /// engine will fold the worker in. `None` for every other event.
+    pub fold_in: Option<bool>,
+}
+
+/// Translates one trace day's [`ReplayStream`] into [`EventKind`]s —
+/// the single translation behind both [`replay_day`] and the wire
+/// client `dita post-replay`, so the in-process and the served replay
+/// of a trace ingest the same events.
+///
+/// It does three things:
+///
+/// * **dense ids** — trained workers keep their training-slice id; a
+///   late arrival takes the next dense id, in first-sighting order;
+/// * **fold-in evidence** — a first sighting becomes
+///   [`EventKind::WorkerNew`] carrying the worker's friendships onto
+///   already-mapped workers and their check-ins up to now;
+/// * **departures** — mapped onto dense ids; a departure of a worker
+///   the engine never admitted is dropped.
+///
+/// A first-sighted worker is mapped only when their fold-in will be
+/// accepted, i.e. at least one friend is already mapped — the engine's
+/// own [`NoUsableFriends`](crate::RejectReason::NoUsableFriends) rule.
+/// A refused worker stays unmapped and is offered again (with more
+/// evidence) at their next check-in, so the dense ids the translator
+/// hands out always match the population the engine grows.
+#[derive(Debug)]
+pub struct ReplayTranslator<'d> {
+    data: &'d LoadedDataset,
+    radius_km: f64,
+    speed_kmh: f64,
+    to_dense: HashMap<WorkerId, WorkerId>,
+    folded: Vec<(WorkerId, WorkerId)>,
+}
+
+impl<'d> ReplayTranslator<'d> {
+    /// A translator over `data` whose trained population is `to_dense`
+    /// (trace id → dense id, [`sc_datagen::TrainingSlice::to_dense`]).
+    pub fn new(
+        data: &'d LoadedDataset,
+        to_dense: HashMap<WorkerId, WorkerId>,
+        opts: &ReplayOptions,
+    ) -> Self {
+        ReplayTranslator {
+            data,
+            radius_km: opts.radius_km,
+            speed_kmh: opts.speed_kmh,
+            to_dense,
+            folded: Vec::new(),
+        }
+    }
+
+    /// Translates one stream event; `None` when it has no engine
+    /// counterpart (the departure of a worker never admitted).
+    pub fn translate(&mut self, event: &ReplayEvent) -> Option<Translated> {
+        let kind = match event {
+            ReplayEvent::CheckIn {
+                worker,
+                location,
+                at,
+                ..
+            } => match self.to_dense.get(worker) {
+                Some(&dense) => EventKind::WorkerArrival {
+                    worker: self.worker(dense, *location),
+                },
+                None => return Some(self.first_sighting(*worker, *location, *at)),
+            },
+            ReplayEvent::TaskPosted { task, venue } => EventKind::TaskArrival {
+                task: task.clone(),
+                venue: *venue,
+            },
+            ReplayEvent::Departure { worker, .. } => EventKind::WorkerDeparture {
+                worker: *self.to_dense.get(worker)?,
+            },
+        };
+        Some(Translated {
+            kind,
+            fold_in: None,
+        })
+    }
+
+    /// A worker outside the mapped population checks in: offer them at
+    /// the next dense id with their friendships onto mapped workers and
+    /// their check-ins up to `at`, and map them iff a friend is mapped.
+    fn first_sighting(
+        &mut self,
+        trace: WorkerId,
+        location: Location,
+        at: TimeInstant,
+    ) -> Translated {
+        let dense = WorkerId::from(self.to_dense.len());
+        let friends: Vec<WorkerId> = self
+            .data
+            .social
+            .informs(trace.raw())
+            .iter()
+            .filter_map(|f| self.to_dense.get(&WorkerId::new(*f)).copied())
+            .collect();
+        let mut history = History::new();
+        for r in self.data.histories.history(trace).records() {
+            if r.arrived <= at {
+                let mut rec = r.clone();
+                rec.worker = dense;
+                history.push(rec);
+            }
+        }
+        let folds_in = !friends.is_empty();
+        if folds_in {
+            self.to_dense.insert(trace, dense);
+            self.folded.push((trace, dense));
+        }
+        Translated {
+            kind: EventKind::WorkerNew {
+                worker: self.worker(dense, location),
+                friends,
+                history,
+            },
+            fold_in: Some(folds_in),
+        }
+    }
+
+    fn worker(&self, id: WorkerId, location: Location) -> Worker {
+        Worker::new(id, location, self.radius_km).with_speed(self.speed_kmh)
+    }
+}
+
 /// Trains on the trace's past and replays `day` through an adaptive
 /// online engine. `config.online` governs per-round pool maintenance;
 /// `config.rpo.threads` governs every parallel phase (results are
@@ -112,8 +250,7 @@ pub fn replay_day(
         .config(config.online)
         .build();
 
-    let mut to_dense: HashMap<WorkerId, WorkerId> = slice.to_dense;
-    let mut folded: Vec<(WorkerId, WorkerId)> = Vec::new();
+    let mut translator = ReplayTranslator::new(data, slice.to_dense, opts);
     let mut rounds = Vec::with_capacity(stream.n_rounds());
 
     for round in stream.rounds() {
@@ -121,66 +258,21 @@ pub fn replay_day(
         let mut fold_ins = 0usize;
         let mut rejected = 0usize;
         for event in &round.events {
-            match event {
-                ReplayEvent::CheckIn {
-                    worker,
-                    location,
-                    at,
-                    ..
-                } => {
-                    checkins += 1;
-                    if let Some(&dense) = to_dense.get(worker) {
-                        engine.ingest(EventKind::WorkerArrival {
-                            worker: Worker::new(dense, *location, opts.radius_km)
-                                .with_speed(opts.speed_kmh),
-                        });
-                    } else {
-                        // First sighting of this worker: fold into the
-                        // live network with the evidence observed so
-                        // far (their check-ins up to now) and their
-                        // friendships onto already-known workers.
-                        let dense = WorkerId::from(engine.pipeline().model().n_workers());
-                        let friends: Vec<WorkerId> = data
-                            .social
-                            .informs(worker.raw())
-                            .iter()
-                            .filter_map(|f| to_dense.get(&WorkerId::new(*f)).copied())
-                            .collect();
-                        let mut evidence = History::new();
-                        for r in data.histories.history(*worker).records() {
-                            if r.arrived <= *at {
-                                let mut rec = r.clone();
-                                rec.worker = dense;
-                                evidence.push(rec);
-                            }
-                        }
-                        let arrival = Worker::new(dense, *location, opts.radius_km)
-                            .with_speed(opts.speed_kmh);
-                        match engine.ingest(EventKind::WorkerNew {
-                            worker: arrival,
-                            friends,
-                            history: evidence,
-                        }) {
-                            Outcome::WorkerFoldedIn => {
-                                to_dense.insert(*worker, dense);
-                                folded.push((*worker, dense));
-                                fold_ins += 1;
-                            }
-                            Outcome::Rejected(_) => rejected += 1,
-                            _ => {}
-                        }
-                    }
-                }
-                ReplayEvent::TaskPosted { task, venue } => {
-                    engine.ingest(EventKind::TaskArrival {
-                        task: task.clone(),
-                        venue: *venue,
-                    });
-                }
-                ReplayEvent::Departure { worker, .. } => {
-                    if let Some(&dense) = to_dense.get(worker) {
-                        engine.ingest(EventKind::WorkerDeparture { worker: dense });
-                    }
+            checkins += usize::from(matches!(event, ReplayEvent::CheckIn { .. }));
+            let Some(Translated { kind, fold_in }) = translator.translate(event) else {
+                continue;
+            };
+            let outcome = engine.ingest(kind);
+            if let Some(predicted) = fold_in {
+                debug_assert_eq!(
+                    predicted,
+                    outcome == Outcome::WorkerFoldedIn,
+                    "translator mispredicted a first sighting: engine said {outcome:?}"
+                );
+                if outcome == Outcome::WorkerFoldedIn {
+                    fold_ins += 1;
+                } else {
+                    rejected += 1;
                 }
             }
         }
@@ -199,7 +291,7 @@ pub fn replay_day(
             day,
             trained_workers,
             checkins: stream.n_checkins(),
-            folded,
+            folded: translator.folded,
             rounds,
             summary,
         },
@@ -211,7 +303,7 @@ pub fn replay_day(
 mod tests {
     use super::*;
     use sc_influence::RpoParams;
-    use sc_types::{CheckIn, HistoryStore, Location, TimeInstant, VenueId};
+    use sc_types::{CheckIn, HistoryStore, VenueId};
 
     /// A 12-worker, two-day trace. Workers 0..=9 are active on day 0;
     /// workers 10 and 11 first appear on day 1 (fold-in candidates),

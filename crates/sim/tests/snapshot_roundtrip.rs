@@ -231,3 +231,38 @@ fn snapshot_with_a_stale_solver_key_restores() {
         play_hour(&mut fresh, &data, 9)
     );
 }
+
+#[test]
+fn engines_fed_the_same_script_write_identical_snapshots() {
+    // A snapshot records results, never timings: two engines run
+    // through the same script under the maintaining streaming preset
+    // (so every round times a pool-maintenance pass) must serialize to
+    // the same bytes.
+    let data = dataset();
+    let snapshot_after_script = || {
+        let mut engine = EngineBuilder::new()
+            .pipeline(PipelineMode::Owned(Box::new(pipeline(
+                &data,
+                Parallelism::Single,
+            ))))
+            .network(NetworkMode::Adaptive(Box::new(data.social.clone())))
+            .config(OnlineConfig::streaming())
+            .build();
+        let cohort = data.instance_for_day(0, 0, 40, InstanceOptions::default());
+        for worker in cohort.instance.workers {
+            engine.ingest(EventKind::WorkerArrival { worker });
+        }
+        for hour in 8..11i64 {
+            play_hour(&mut engine, &data, hour);
+        }
+        fold_in(&mut engine, &data, TimeInstant::at(0, 11));
+        play_hour(&mut engine, &data, 11);
+        snapshot_to_string(&engine).unwrap()
+    };
+    let first = snapshot_after_script();
+    let second = snapshot_after_script();
+    assert!(
+        first == second,
+        "two runs of one script must snapshot byte-identically"
+    );
+}
